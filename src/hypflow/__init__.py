@@ -10,12 +10,11 @@ from .conformal import (
     log_cosh_half,
     save_metric,
 )
-from .energy import EnergyRecord, lyapunov_values, potential_phi, psi_gap, segment_flux
+from .energy import potential_phi, psi_gap, segment_flux
 from .errors import (
     EigSolveFailure,
     InadmissibleFactor,
     InsufficientData,
-    InvalidBoundaryIndex,
     LineSearchFailure,
     MalformedMesh,
     MaxIterations,
@@ -45,14 +44,13 @@ from .instances import (
     random_admissible_factor,
     random_instance,
 )
-from .jacobian import DeltaPower, boundary_jacobian, delta_power, face_block
+from .jacobian import DeltaPower, boundary_jacobian, delta_power
 from .newton import SolveReport, solve_prescribed
 from .triangulation import (
     EdgeRecord,
     FaceRecord,
     IdealTriangulation,
     build_triangulation,
-    incident_corners,
     load_mesh,
     save_mesh,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "FaceRecord",
     "IdealTriangulation",
     "build_triangulation",
-    "incident_corners",
     "load_mesh",
     "save_mesh",
     "opposite_arcs",
@@ -77,14 +74,11 @@ __all__ = [
     "load_metric",
     "save_metric",
     "boundary_jacobian",
-    "face_block",
     "delta_power",
     "DeltaPower",
     "potential_phi",
     "psi_gap",
     "segment_flux",
-    "lyapunov_values",
-    "EnergyRecord",
     "solve_prescribed",
     "SolveReport",
     "FlowSpec",
@@ -104,7 +98,6 @@ __all__ = [
     "random_admissible_factor",
     "PANTS_EDGE_LENGTH",
     "MalformedMesh",
-    "InvalidBoundaryIndex",
     "MeshFormatError",
     "NonFinite",
     "InadmissibleFactor",

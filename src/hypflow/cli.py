@@ -22,6 +22,7 @@ from .conformal import admissibility_margin, load_metric
 from .errors import (
     EigSolveFailure,
     InadmissibleFactor,
+    InsufficientData,
     LineSearchFailure,
     MalformedMesh,
     MaxIterations,
@@ -43,8 +44,10 @@ from .flows import (
 )
 from .instances import PANTS_EDGE_LENGTH, random_instance
 from .newton import solve_prescribed
-from .triangulation import load_mesh
-from .errors import InsufficientData
+from .triangulation import load_mesh, loads_mesh
+
+# the smallest positive double: a margin below it is a margin <= 0
+MARGIN_ABOVE_ZERO = float(np.nextafter(0.0, 1.0))
 
 
 def _version_string() -> str:
@@ -110,6 +113,28 @@ def _load_instance(args) -> tuple:
     return tri, l0, seed, "random", "random"
 
 
+def _read_start(args, tri, l0, need_targets: bool, margin_floor: float) -> tuple:
+    """Returns (targets, w0) from --targets and --w0.
+
+    targets is None unless need_targets; w0 defaults to zeros and must keep
+    every admissibility margin at or above margin_floor.  Raises ValueError
+    with the usage message otherwise.
+    """
+    n = tri.n_boundaries
+    targets = None
+    if need_targets:
+        if args.targets is None:
+            raise ValueError(f"{args.command} requires --targets")
+        targets = _parse_vector(args.targets, n, "--targets")
+        if np.any(targets <= 0.0):
+            raise ValueError("--targets must be strictly positive lengths")
+    w0 = np.zeros(n) if args.w0 is None else _parse_vector(args.w0, n, "--w0")
+    margin = np.min(admissibility_margin(tri, l0, w0))
+    if margin < margin_floor:
+        raise ValueError(f"--w0 is not admissible for this metric (margin {margin:.3e})")
+    return targets, w0
+
+
 def _base_report(args, tri, seed, mesh_desc, metric_desc) -> dict:
     return {
         "version": _version_string(),
@@ -134,8 +159,6 @@ def cmd_validate(args) -> int:
             text = fh.read()
     except OSError as exc:
         return _fail(2, f"cannot read mesh: {exc}")
-    from .triangulation import loads_mesh
-
     try:
         tri = loads_mesh(text)
     except MeshFormatError as exc:
@@ -168,29 +191,7 @@ def cmd_flow(args) -> int:
         return _fail(2, problem)
     try:
         tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-    except ValueError as exc:
-        return _fail(2, str(exc))
-
-    n = tri.n_boundaries
-    targets = None
-    if args.kind != GUO:
-        if args.targets is None:
-            return _fail(2, f"--kind {args.kind} requires --targets")
-        try:
-            targets = _parse_vector(args.targets, n, "--targets")
-        except ValueError as exc:
-            return _fail(2, str(exc))
-        if np.any(targets <= 0.0):
-            return _fail(2, "--targets must be strictly positive lengths")
-    if args.w0 is not None:
-        try:
-            w0 = _parse_vector(args.w0, n, "--w0")
-        except ValueError as exc:
-            return _fail(2, str(exc))
-    else:
-        w0 = np.zeros(n)
-
-    try:
+        targets, w0 = _read_start(args, tri, l0, args.kind != GUO, args.safety)
         spec = FlowSpec(
             kind=args.kind,
             targets=targets,
@@ -203,8 +204,6 @@ def cmd_flow(args) -> int:
         )
     except ValueError as exc:
         return _fail(2, str(exc))
-    if np.min(admissibility_margin(tri, l0, w0)) < spec.safety:
-        return _fail(2, "--w0 is not admissible for this metric (margin below safety)")
 
     started = time.perf_counter()
     partial = False
@@ -268,26 +267,9 @@ def cmd_flow(args) -> int:
 def cmd_solve(args) -> int:
     try:
         tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
+        targets, w0 = _read_start(args, tri, l0, True, MARGIN_ABOVE_ZERO)
     except ValueError as exc:
         return _fail(2, str(exc))
-    n = tri.n_boundaries
-    if args.targets is None:
-        return _fail(2, "solve requires --targets")
-    try:
-        targets = _parse_vector(args.targets, n, "--targets")
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    if np.any(targets <= 0.0):
-        return _fail(2, "--targets must be strictly positive lengths")
-    if args.w0 is not None:
-        try:
-            w0 = _parse_vector(args.w0, n, "--w0")
-        except ValueError as exc:
-            return _fail(2, str(exc))
-    else:
-        w0 = np.zeros(n)
-    if np.any(admissibility_margin(tri, l0, w0) <= 0.0):
-        return _fail(2, "--w0 is not admissible for this metric")
 
     started = time.perf_counter()
     code = 0
@@ -346,24 +328,9 @@ def cmd_compare(args) -> int:
 
     try:
         tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
+        targets, w0 = _read_start(args, tri, l0, True, args.safety)
     except ValueError as exc:
         return _fail(2, str(exc))
-    n = tri.n_boundaries
-    if args.targets is None:
-        return _fail(2, "compare requires --targets")
-    try:
-        targets = _parse_vector(args.targets, n, "--targets")
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    if np.any(targets <= 0.0):
-        return _fail(2, "--targets must be strictly positive lengths")
-    if args.w0 is not None:
-        try:
-            w0 = _parse_vector(args.w0, n, "--w0")
-        except ValueError as exc:
-            return _fail(2, str(exc))
-    else:
-        w0 = np.zeros(n)
 
     rows = []
     all_converged = True

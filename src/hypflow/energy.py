@@ -2,10 +2,10 @@
 
 The closed 1-form -sum_i B_i dw_i integrates to a potential
 
-    phi(w) = -int_c^w sum_i B_i dw_i
+    phi(w) = -int_0^w sum_i B_i dw_i
 
 which is path independent on the (convex) admissible set, so the straight
-segment from the base point is used.  Shifting by the target term gives
+segment from the base point w = 0 is used.  Shifting by the target term gives
 
     psi(w) = phi(w) + sum_i b_i w_i,
 
@@ -24,7 +24,6 @@ rounding noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,20 +92,9 @@ def segment_flux(
     )
 
 
-def potential_phi(
-    tri: IdealTriangulation,
-    l0,
-    w,
-    base_point=None,
-    rtol: float = 1e-10,
-) -> float:
-    """The potential phi(w) relative to the base point (default w = 0)."""
-    w = np.asarray(w, dtype=float)
-    c = np.zeros(tri.n_boundaries) if base_point is None else np.asarray(base_point, dtype=float)
-    if np.array_equal(w, c):
-        _require_admissible(tri, l0, w, "evaluation point")
-        return 0.0
-    return segment_flux(tri, l0, c, w, targets=None, rtol=rtol)
+def potential_phi(tri: IdealTriangulation, l0, w, rtol: float = 1e-10) -> float:
+    """The potential phi(w) relative to the base point w = 0."""
+    return segment_flux(tri, l0, np.zeros(tri.n_boundaries), w, rtol=rtol)
 
 
 def psi_gap(tri: IdealTriangulation, l0, w, w_star, targets, rtol: float = 1e-10) -> float:
@@ -123,66 +111,3 @@ def upsilon_value(B, targets, p: float) -> float:
     B = np.asarray(B, dtype=float)
     d = B - np.asarray(targets, dtype=float)
     return float(np.sum(d * d / B**p))
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    phi: float
-    psi: float
-    lambda_val: float
-    xi: float
-    c_val: float
-    upsilon: float
-    base_point: np.ndarray
-    w_star: np.ndarray | None
-    p: float
-    s: float
-
-
-def lyapunov_values(
-    tri: IdealTriangulation,
-    l0,
-    w,
-    targets,
-    p: float = 0.0,
-    s: float = 0.0,
-    w_star=None,
-    base_point=None,
-    rtol: float = 1e-10,
-) -> EnergyRecord:
-    """All energy scalars at w.
-
-    lambda_val and xi require the critical point w_star; without it they are
-    NaN.  The fractional exponent s does not enter any scalar; it is stored
-    so records carry the full flow context.
-    """
-    w = np.asarray(w, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    c = np.zeros(tri.n_boundaries) if base_point is None else np.asarray(base_point, dtype=float)
-
-    phi = potential_phi(tri, l0, w, base_point=c, rtol=rtol)
-    psi = phi + float(targets @ w)
-    B = boundary_lengths(tri, l0, w)
-    cv = c_value(B, targets)
-    up = upsilon_value(B, targets, p)
-    if w_star is None:
-        lam = float("nan")
-        xi = float("nan")
-        w_star_arr = None
-    else:
-        w_star_arr = np.asarray(w_star, dtype=float)
-        gap = psi_gap(tri, l0, w, w_star_arr, targets, rtol=rtol)
-        lam = gap + cv
-        xi = gap + up
-    return EnergyRecord(
-        phi=phi,
-        psi=psi,
-        lambda_val=lam,
-        xi=xi,
-        c_val=cv,
-        upsilon=up,
-        base_point=c,
-        w_star=w_star_arr,
-        p=float(p),
-        s=float(s),
-    )

@@ -15,10 +15,6 @@ class MalformedMesh(ValueError):
         self.index = index
 
 
-class InvalidBoundaryIndex(IndexError):
-    """A boundary component index is outside 1..n_boundaries."""
-
-
 class MeshFormatError(ValueError):
     """A mesh or metric file could not be parsed into the expected shape."""
 

@@ -22,12 +22,10 @@ effectively exact), which keeps the recorded energies meaningful down to the
 convergence floor where differencing two absolute potentials would return
 pure rounding noise.
 
-With energy_mode="full" (the default) the recorded energy is the flow's own
-Lyapunov value (the potential for guo), anchored at the critical point w*
-found by the Newton solver; the rejection test itself only uses increments
-and never consults w*, so the flow dynamics stay independent of the solver.
-With energy_mode="surrogate" the recorded and tested quantity is the cheap
-penalty C = sum (B_i - b_i)^2 instead.
+The recorded energy is the flow's own Lyapunov value (the potential for
+guo), anchored at the critical point w* found by the Newton solver; the
+rejection test itself only uses increments and never consults w*, so the
+flow dynamics stay independent of the solver.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ class Trajectory:
 
     energies holds the flow's designated scalar per sample: lambda for
     fractional-calabi, xi for generalized-yamabe, the potential phi for guo
-    (energy_kind names it; "surrogate" means C was tracked instead).
+    (energy_kind names it).
     """
 
     spec: FlowSpec
@@ -142,14 +140,10 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.ts)
 
-    @property
-    def samples(self) -> list:
-        return list(zip(self.ts, self.ws, self.Bs, self.energies))
 
-
-def _effective_targets(tri: IdealTriangulation, spec: FlowSpec) -> np.ndarray:
+def _effective_targets(n: int, spec: FlowSpec) -> np.ndarray:
     if spec.kind == GUO:
-        return np.zeros(tri.n_boundaries)
+        return np.zeros(n)
     return spec.targets
 
 
@@ -159,20 +153,16 @@ def _penalty(B, spec: FlowSpec, targets) -> float:
     return c_value(B, targets)
 
 
-def integrate(
-    tri: IdealTriangulation, l0, w0, spec: FlowSpec, energy_mode: str = "full"
-) -> Trajectory:
+def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     """Run the flow from w0 until tolerance, time budget, or guard failure.
 
     Raises StepCollapse (carrying the partial trajectory, status
-    GuardTriggered) if halving pushes the step below 1e-12.  In full energy
-    mode the target-seeking flows solve for w* once up front to anchor the
-    recorded Lyapunov values; solver failures propagate.
+    GuardTriggered) if halving pushes the step below 1e-12.  The
+    target-seeking flows solve for w* once up front to anchor the recorded
+    Lyapunov values; solver failures propagate.
     """
-    if energy_mode not in ("full", "surrogate"):
-        raise ValueError(f"unknown energy_mode {energy_mode!r}")
     w = np.asarray(w0, dtype=float).copy()
-    targets = _effective_targets(tri, spec)
+    targets = _effective_targets(tri.n_boundaries, spec)
 
     margins = admissibility_margin(tri, l0, w)
     if np.min(margins) < spec.safety:
@@ -186,24 +176,15 @@ def integrate(
     residual = float(np.max(np.abs(B - targets)))
 
     track_lyapunov = spec.kind != GUO
-    w_star = None
-    last_penalty = 0.0
-    if energy_mode == "full":
-        if spec.kind == GUO:
-            energy_kind = "phi"
-            flux_targets = None
-            energy = potential_phi(tri, l0, w)
-        else:
-            energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
-            w_star = solve_prescribed(tri, l0, targets, tol=1e-10).w_star
-            flux_targets = targets
-            last_penalty = _penalty(B, spec, targets)
-            energy = psi_gap(tri, l0, w, w_star, targets) + last_penalty
+    if track_lyapunov:
+        energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
+        w_star = solve_prescribed(tri, l0, targets, tol=1e-10).w_star
+        last_penalty = _penalty(B, spec, targets)
+        energy = psi_gap(tri, l0, w, w_star, targets) + last_penalty
     else:
-        energy_kind = "surrogate"
-        flux_targets = None
-        last_penalty = c_value(B, targets)
-        energy = last_penalty
+        energy_kind = "phi"
+        w_star = None
+        energy = potential_phi(tri, l0, w)
 
     ts = [0.0]
     ws = [w.copy()]
@@ -259,24 +240,17 @@ def integrate(
         except (InadmissibleFactor, NonFinite, EigSolveFailure):
             proposal = None
 
-        delta_energy = penalty_new = None
         if proposal is not None:
             w_new, B_new = proposal
-            if energy_mode == "full":
-                increment = segment_flux(tri, l0, w, w_new, targets=flux_targets, rtol=1e-12)
-                if track_lyapunov:
-                    penalty_new = _penalty(B_new, spec, targets)
-                    # lyapunov change over the step; reject any increase, and
-                    # record the energy with this exact quantity so the stored
-                    # sequence is non-increasing in float arithmetic too
-                    delta_energy = increment + penalty_new - last_penalty
-                    if delta_energy > 0.0:
-                        proposal = None
-                else:
-                    delta_energy = increment
-            else:
-                penalty_new = c_value(B_new, targets)
-                if track_lyapunov and penalty_new > last_penalty:
+            # targets are zero for guo, so this is the phi increment there
+            delta_energy = segment_flux(tri, l0, w, w_new, targets=targets, rtol=1e-12)
+            if track_lyapunov:
+                penalty_new = _penalty(B_new, spec, targets)
+                # lyapunov change over the step; reject any increase, and
+                # record the energy with this exact quantity so the stored
+                # sequence is non-increasing in float arithmetic too
+                delta_energy = delta_energy + penalty_new - last_penalty
+                if delta_energy > 0.0:
                     proposal = None
 
         if proposal is None:
@@ -293,13 +267,9 @@ def integrate(
         w, B = proposal
         t += h_try
         k1 = None
-        if energy_mode == "full":
-            energy = energy + delta_energy
-            if track_lyapunov:
-                last_penalty = penalty_new
-        else:
+        energy = energy + delta_energy
+        if track_lyapunov:
             last_penalty = penalty_new
-            energy = last_penalty
         residual = float(np.max(np.abs(B - targets)))
         ts.append(t)
         ws.append(w.copy())
@@ -328,9 +298,11 @@ def decay_rate(traj: Trajectory) -> DecayFit:
     """Exponential rate fitted to ln ||B - b||_2 over the trajectory's final half.
 
     Requires at least 10 samples whose 2-norm residual went below the initial
-    one; raises InsufficientData otherwise (e.g. a start already at w*).
+    one, and a tail whose residual falls by at least one e-fold; raises
+    InsufficientData otherwise (e.g. a start already at w*, or a run that
+    stalled, where the fit would report the stall as a clean rate near 0).
     """
-    targets = _effective_targets_from_traj(traj)
+    targets = _effective_targets(traj.ws.shape[1], traj.spec)
     r = np.linalg.norm(traj.Bs - targets[None, :], axis=1)
     below = int(np.count_nonzero((r[1:] < r[0]) & (r[1:] > 0.0)))
     if below < 10:
@@ -345,6 +317,10 @@ def decay_rate(traj: Trajectory) -> DecayFit:
     if len(t_tail) < 2:
         raise InsufficientData("fewer than 2 usable samples in the tail")
     y = np.log(r_tail)
+    if y[0] - y[-1] < 1.0:
+        raise InsufficientData(
+            f"tail residual fell by only {y[0] - y[-1]:.3g} e-folds; need 1"
+        )
     slope, intercept = np.polyfit(t_tail, y, 1)
     fitted = slope * t_tail + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
@@ -352,12 +328,6 @@ def decay_rate(traj: Trajectory) -> DecayFit:
     if ss_tot <= 0.0:
         raise InsufficientData("tail residuals show no variation to fit")
     return DecayFit(rate=-float(slope), r_squared=1.0 - ss_res / ss_tot, n_samples=len(t_tail))
-
-
-def _effective_targets_from_traj(traj: Trajectory) -> np.ndarray:
-    if traj.spec.kind == GUO:
-        return np.zeros(traj.ws.shape[1])
-    return traj.spec.targets
 
 
 def csv_header(n: int) -> str:

@@ -45,29 +45,6 @@ def boundary_jacobian(tri: IdealTriangulation, l0, w) -> np.ndarray:
     return L
 
 
-def face_block(tri: IdealTriangulation, l0, w, face_index: int) -> np.ndarray:
-    """Single-hexagon Jacobian [d theta_{c_m} / d w_{c_q}] for one face.
-
-    Defined for faces whose three corner labels are distinct (the block
-    treats the three labels as independent variables).  Rows and columns are
-    indexed by corner slot.
-    """
-    face = tri.faces[face_index]
-    if len(set(face.corners)) != 3:
-        raise ValueError("face block requires three distinct corner labels")
-    lengths = deform(tri, l0, w)
-    sides = lengths[np.asarray(face.sides)]
-    jac_corner = arc_side_jacobian(sides)[list(CORNER_TO_OPPOSITE_SIDE), :]
-
-    growth = 2.0 / np.tanh(sides / 2.0)
-    # side slot r runs between corner slots r-1 and r
-    dldw = np.zeros((3, 3))
-    for r in range(3):
-        dldw[r, (r - 1) % 3] += growth[r]
-        dldw[r, r] += growth[r]
-    return jac_corner @ dldw
-
-
 @dataclass(frozen=True)
 class DeltaPower:
     """Fractional power of Delta = -L with its eigendecomposition."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .conformal import admissibility_margin, boundary_lengths
 from .errors import EigSolveFailure, LineSearchFailure, MaxIterations
@@ -78,10 +77,10 @@ def solve_prescribed(
             )
         L = boundary_jacobian(tri, l0, w)
         try:
-            factor = scipy.linalg.cho_factor(-L)
-        except scipy.linalg.LinAlgError as exc:
+            factor = np.linalg.cholesky(-L)
+        except np.linalg.LinAlgError as exc:
             raise EigSolveFailure(f"Cholesky factorization of -L failed: {exc}") from exc
-        step = scipy.linalg.cho_solve(factor, B - targets)
+        step = np.linalg.solve(factor.T, np.linalg.solve(factor, B - targets))
         slope = float((targets - B) @ step)  # grad psi . step, negative
 
         alpha = 1.0

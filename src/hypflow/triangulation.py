@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidBoundaryIndex, MalformedMesh, MeshFormatError
+from .errors import MalformedMesh, MeshFormatError
 
 
 @dataclass(frozen=True)
@@ -162,24 +162,6 @@ def build_triangulation(
     return IdealTriangulation(
         n_boundaries=n_boundaries, edges=tuple(edges), faces=tuple(faces)
     )
-
-
-def incident_corners(tri: IdealTriangulation, i: int) -> list[tuple[int, int]]:
-    """All (face index, corner slot) pairs labeled with boundary component i.
-
-    A face contributes once per corner labeled i, so the result length counts
-    incidences with multiplicity.  Order is ascending by face, then slot.
-    """
-    if not (1 <= i <= tri.n_boundaries):
-        raise InvalidBoundaryIndex(
-            f"boundary index {i} outside 1..{tri.n_boundaries}"
-        )
-    out = []
-    for f, face in enumerate(tri.faces):
-        for m in range(3):
-            if face.corners[m] == i:
-                out.append((f, m))
-    return out
 
 
 def dumps_mesh(tri: IdealTriangulation) -> str:

@@ -287,7 +287,7 @@ def test_c08_guo_flow_monotone():
     spec = FlowSpec(kind="guo", tol=1e-3, t_max=1e4, step=0.5)
     for k in range(10):
         w0 = instances.random_admissible_factor(rng, PANTS, SYM_L0)
-        traj = integrate(PANTS, SYM_L0, w0, spec, energy_mode="surrogate")
+        traj = integrate(PANTS, SYM_L0, w0, spec)
         assert traj.status == "Converged"
         assert np.max(np.abs(traj.Bs[-1])) < 1e-3
         assert np.all(np.diff(np.asarray(traj.Bs), axis=0) < 0)

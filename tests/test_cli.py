@@ -107,6 +107,19 @@ def test_flow_usage_errors(pants_mesh):
     assert main(["flow", "--mesh", pants_mesh, "--kind", "ricci"]) == 2
 
 
+def test_flow_stall_reports_no_rate(tmp_path, capsys):
+    # this run strands near residual 1; a rate fitted to its flat tail
+    # would read as a clean exponential decay
+    json_path = tmp_path / "stall.json"
+    rc = main(["flow", "--seed", "0", "--kind", "fractional-calabi", "--s", "1",
+               "--targets", "1", "--t-max", "20", "--out-json", str(json_path)])
+    assert rc == 1
+    assert "rate=" not in capsys.readouterr().out
+    report = json.loads(json_path.read_text())
+    assert report["status"] == "TimeBudgetExhausted"
+    assert report["decay_rate"] is None
+
+
 def test_flow_metric_requires_mesh(tmp_path):
     metric = tmp_path / "metric.json"
     save_metric(np.full(3, instances.PANTS_EDGE_LENGTH), metric)
@@ -185,6 +198,17 @@ def test_compare_variants(pants_mesh, tmp_path):
 
 def test_compare_requires_variants(pants_mesh):
     assert main(["compare", "--mesh", pants_mesh, "--targets", "1,1,1"]) == 2
+
+
+def test_compare_usage_errors(pants_mesh):
+    # compare needs targets
+    assert main(["compare", "--mesh", pants_mesh, "--s=0"]) == 2
+    # inadmissible start
+    assert main(["compare", "--mesh", pants_mesh, "--targets", "1,1,1",
+                 "--s=0", "--w0=-0.35"]) == 2
+    # admissible start whose margin (5.8e-7) is below the default safety
+    assert main(["compare", "--mesh", pants_mesh, "--targets", "1,1,1",
+                 "--s=0", "--w0=-0.3465733"]) == 2
 
 
 def test_no_subcommand_is_usage_error():

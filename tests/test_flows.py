@@ -133,7 +133,7 @@ def test_step_collapse_carries_partial_trajectory(pants, symmetric_l0):
     spec = FlowSpec(kind="fractional-calabi", targets=targets, s=0.0,
                     safety=4.0 * m_star)
     with pytest.raises(StepCollapse) as exc:
-        integrate(pants, symmetric_l0, np.zeros(3), spec, energy_mode="surrogate")
+        integrate(pants, symmetric_l0, np.zeros(3), spec)
     traj = exc.value.trajectory
     assert traj.status == "GuardTriggered"
     assert traj.n_samples >= 1
@@ -185,16 +185,6 @@ def test_step_growth_capped_at_initial(pants, symmetric_l0):
     assert np.max(np.diff(traj.ts)) <= spec.step + 1e-12
 
 
-def test_surrogate_energy_mode(pants, symmetric_l0):
-    spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0)
-    traj = integrate(pants, symmetric_l0, np.zeros(3), spec, energy_mode="surrogate")
-    assert traj.energy_kind == "surrogate"
-    assert traj.status == "Converged"
-    assert np.all(np.diff(traj.energies) <= 0)
-    # surrogate is C, which vanishes at convergence
-    assert traj.energies[-1] < 1e-15
-
-
 def test_csv_round_trip(tmp_path, pants, symmetric_l0):
     spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0)
     traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
@@ -224,8 +214,20 @@ def test_csv_rejects_foreign_header(tmp_path):
 
 def test_trajectory_samples_property(pants, symmetric_l0):
     spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0)
-    traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
-    samples = traj.samples
-    assert len(samples) == traj.n_samples
-    t0, w0, B0, e0 = samples[0]
-    assert t0 == 0.0 and np.array_equal(w0, np.zeros(3))
+    w0 = np.full(3, 0.1)
+    traj = integrate(pants, symmetric_l0, w0, spec)
+    for series in (traj.ws, traj.Bs, traj.residuals, traj.energies):
+        assert len(series) == traj.n_samples
+    assert traj.ts[0] == 0.0 and np.array_equal(traj.ws[0], w0)
+
+
+def test_decay_rate_refuses_stalled_tail():
+    # fractional-calabi s=1 strands on this instance: the residual stays
+    # near 1 while the tail still fits a line (R2 = 1) at a rate of 1.5e-10
+    tri, l0 = instances.random_instance(np.random.default_rng(0))
+    spec = FlowSpec(kind="fractional-calabi", targets=np.ones(tri.n_boundaries),
+                    s=1.0, t_max=20.0)
+    traj = integrate(tri, l0, np.zeros(tri.n_boundaries), spec)
+    assert traj.status == "TimeBudgetExhausted"
+    with pytest.raises(InsufficientData):
+        decay_rate(traj)

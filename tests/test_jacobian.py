@@ -6,7 +6,7 @@ import pytest
 from hypflow import instances
 from hypflow.conformal import boundary_lengths
 from hypflow.errors import EigSolveFailure
-from hypflow.jacobian import boundary_jacobian, delta_power, face_block
+from hypflow.jacobian import boundary_jacobian, delta_power
 
 
 def finite_difference_jacobian(tri, l0, w, h=1e-5):
@@ -51,38 +51,6 @@ def test_matches_finite_differences():
         scale = np.maximum(np.abs(fd), 1e-8 * np.max(np.abs(fd)))
         assert np.max(np.abs(L - fd) / scale) < 1e-6
         assert structure_ok(L)
-
-
-def test_face_block_structure(pants, symmetric_l0):
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        w = rng.uniform(-0.2, 0.6, 3)
-        for f in range(2):
-            blk = face_block(pants, symmetric_l0, w, f)
-            assert np.max(np.abs(blk - blk.T)) < 1e-12 * np.max(np.abs(blk))
-            assert np.all(np.abs(np.diag(blk))
-                          >= np.sum(np.abs(blk), axis=1) - np.abs(np.diag(blk)))
-            assert np.max(np.linalg.eigvalsh((blk + blk.T) / 2)) < 0
-
-
-def test_face_block_assembles_to_jacobian(pants, symmetric_l0):
-    # every pants face has three distinct corners, so scattering the two
-    # blocks reproduces the assembled matrix
-    rng = np.random.default_rng(2)
-    w = rng.uniform(-0.2, 0.6, 3)
-    L = np.zeros((3, 3))
-    for f in range(2):
-        blk = face_block(pants, symmetric_l0, w, f)
-        idx = [c for c in pants.face_corners[f]]
-        for a in range(3):
-            for b in range(3):
-                L[idx[a], idx[b]] += blk[a, b]
-    assert np.allclose(L, boundary_jacobian(pants, symmetric_l0, w), rtol=0, atol=1e-13)
-
-
-def test_face_block_requires_distinct_corners(torus, symmetric_l0):
-    with pytest.raises(ValueError):
-        face_block(torus, symmetric_l0, np.zeros(1), 0)
 
 
 def test_delta_power_identities(pants, symmetric_l0):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from hypflow import instances
-from hypflow.errors import InvalidBoundaryIndex, MalformedMesh, MeshFormatError
+from hypflow.errors import MalformedMesh, MeshFormatError
 from hypflow.triangulation import (
     build_triangulation,
     dumps_mesh,
-    incident_corners,
     load_mesh,
     loads_mesh,
     save_mesh,
@@ -68,31 +67,25 @@ def test_out_of_range_indices_rejected():
 
 
 def test_incident_corners_pants(pants):
-    hits = incident_corners(pants, 1)
-    assert len(hits) == 2
-    # ascending face order, one corner slot per face
-    assert [f for f, _ in hits] == [0, 1]
+    # boundary 1 sits at one corner slot of each face
+    hits = np.argwhere(pants.face_corners == 0)
+    assert hits[:, 0].tolist() == [0, 1]
     for f, m in hits:
         assert pants.faces[f].corners[m] == 1
+    assert pants.corner_scatter.sum(axis=0).tolist() == [2, 2, 2]
 
 
 def test_incident_corners_torus(torus):
-    assert len(incident_corners(torus, 1)) == 6
-
-
-def test_incident_corners_out_of_range(pants):
-    with pytest.raises(InvalidBoundaryIndex):
-        incident_corners(pants, 4)
-    with pytest.raises(InvalidBoundaryIndex):
-        incident_corners(pants, 0)
+    assert torus.corner_scatter.sum(axis=0).tolist() == [6]
 
 
 def test_incidence_counts_sum_to_corner_count():
     rng = np.random.default_rng(3)
     for _ in range(20):
         tri, _ = instances.random_instance(rng)
-        total = sum(len(incident_corners(tri, i)) for i in range(1, tri.n_boundaries + 1))
-        assert total == 3 * tri.n_faces
+        counts = tri.corner_scatter.sum(axis=0)
+        assert counts.shape == (tri.n_boundaries,)
+        assert counts.sum() == 3 * tri.n_faces
 
 
 def test_build_is_deterministic():
