@@ -3,6 +3,7 @@ triangulated bordered surfaces, computed by combinatorial curvature flows and
 cross-checked by a convex Newton solver."""
 
 from .conformal import (
+    Problem,
     admissibility_margin,
     boundary_lengths,
     deform,
@@ -67,6 +68,7 @@ __all__ = [
     "save_mesh",
     "opposite_arcs",
     "arc_side_jacobian",
+    "Problem",
     "admissibility_margin",
     "deform",
     "boundary_lengths",

@@ -46,10 +46,6 @@ from .instances import PANTS_EDGE_LENGTH, random_instance
 from .newton import solve_prescribed
 from .triangulation import load_mesh, loads_mesh
 
-# the smallest positive double: a margin below it is a margin <= 0
-MARGIN_ABOVE_ZERO = float(np.nextafter(0.0, 1.0))
-
-
 def _version_string() -> str:
     return f"v{__version__}"
 
@@ -113,11 +109,11 @@ def _load_instance(args) -> tuple:
     return tri, l0, seed, "random", "random"
 
 
-def _read_start(args, tri, l0, need_targets: bool, margin_floor: float) -> tuple:
+def _read_start(args, tri, l0, need_targets: bool) -> tuple:
     """Returns (targets, w0) from --targets and --w0.
 
     targets is None unless need_targets; w0 defaults to zeros and must keep
-    every admissibility margin at or above margin_floor.  Raises ValueError
+    every admissibility margin at or above --safety.  Raises ValueError
     with the usage message otherwise.
     """
     n = tri.n_boundaries
@@ -126,11 +122,13 @@ def _read_start(args, tri, l0, need_targets: bool, margin_floor: float) -> tuple
         if args.targets is None:
             raise ValueError(f"{args.command} requires --targets")
         targets = _parse_vector(args.targets, n, "--targets")
-        if np.any(targets <= 0.0):
-            raise ValueError("--targets must be strictly positive lengths")
+        if not np.all(np.isfinite(targets)) or np.any(targets <= 0.0):
+            raise ValueError("--targets must be strictly positive finite lengths")
+    if args.safety < 0.0:
+        raise ValueError("--safety must be non-negative")
     w0 = np.zeros(n) if args.w0 is None else _parse_vector(args.w0, n, "--w0")
     margin = np.min(admissibility_margin(tri, l0, w0))
-    if margin < margin_floor:
+    if margin < args.safety:
         raise ValueError(f"--w0 is not admissible for this metric (margin {margin:.3e})")
     return targets, w0
 
@@ -191,7 +189,7 @@ def cmd_flow(args) -> int:
         return _fail(2, problem)
     try:
         tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-        targets, w0 = _read_start(args, tri, l0, args.kind != GUO, args.safety)
+        targets, w0 = _read_start(args, tri, l0, args.kind != GUO)
         spec = FlowSpec(
             kind=args.kind,
             targets=targets,
@@ -267,14 +265,14 @@ def cmd_flow(args) -> int:
 def cmd_solve(args) -> int:
     try:
         tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-        targets, w0 = _read_start(args, tri, l0, True, MARGIN_ABOVE_ZERO)
+        targets, w0 = _read_start(args, tri, l0, True)
     except ValueError as exc:
         return _fail(2, str(exc))
 
     started = time.perf_counter()
     code = 0
     try:
-        solve = solve_prescribed(tri, l0, targets, w_init=w0, tol=args.tol)
+        solve = solve_prescribed(tri, l0, targets, w_init=w0, tol=args.tol, safety=args.safety)
     except (MaxIterations, LineSearchFailure) as exc:
         solve = exc.report
         code = 1
@@ -288,7 +286,7 @@ def cmd_solve(args) -> int:
         {
             "command": "solve",
             "kind": "newton",
-            "parameters": {"tol": args.tol},
+            "parameters": {"tol": args.tol, "safety": args.safety},
             "targets": [float(v) for v in targets],
             "w0": [float(v) for v in w0],
             "status": "Converged" if solve.converged else "Failed",
@@ -328,7 +326,7 @@ def cmd_compare(args) -> int:
 
     try:
         tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-        targets, w0 = _read_start(args, tri, l0, True, args.safety)
+        targets, w0 = _read_start(args, tri, l0, True)
     except ValueError as exc:
         return _fail(2, str(exc))
 

@@ -14,9 +14,14 @@ The admissible set is the intersection of these open half-spaces, hence
 convex.  Boundary component i has geodesic length B_i equal to the sum of the
 hexagon arcs at every face corner labeled i.
 
-`boundary_lengths` and the helpers accept a batch of factors, shape (..., n),
-and return matching leading axes; the flow integrator and the quadrature in
-the energy module rely on this to evaluate many states per call.
+L[i, j] = dB_i/dw_j is assembled face by face: each hexagon contributes the
+chain-rule product of its arc-side Jacobian and the edge-length derivatives
+dl_e/dw = 2 coth(l_e/2) per endpoint occurrence (so a self-edge contributes
+4 coth(l_e/2) to its single endpoint).
+
+`Problem` checks a base metric once and evaluates margins, B and L on it for
+a batch of factors, shape (..., n) (`evaluate`: one factor); the functions
+below it check their inputs on every call and then delegate to a `Problem`.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ import json
 import numpy as np
 
 from .errors import InadmissibleFactor, MeshFormatError, NonFinite
-from .hexagon import opposite_arcs
+from .hexagon import SIDE_LIMIT, arc_side_entries, arccosh1p, cosine_excess, invariant_h
 from .triangulation import IdealTriangulation
 
-# corner slot m holds the arc opposite side slot (m + 2) % 3
-CORNER_TO_OPPOSITE_SIDE = (2, 0, 1)
+# THIRD_CORNER[m][q]: the corner whose arc's cosh enters d(arc at corner m)/d(side q),
+# 3 where side q is opposite corner m (see hexagon.arc_side_entries)
+THIRD_CORNER = np.array([[2, 1, 3], [3, 0, 2], [0, 3, 1]])
 
 
 def log_cosh_half(l0) -> np.ndarray:
@@ -48,23 +54,101 @@ def _check_metric(tri: IdealTriangulation, l0) -> np.ndarray:
     return l0
 
 
-def _check_factor(tri: IdealTriangulation, w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != tri.n_boundaries:
-        raise ValueError(
-            f"factor must have trailing dimension {tri.n_boundaries}, got shape {w.shape}"
-        )
-    if not np.all(np.isfinite(w)):
-        raise ValueError("conformal factor entries must be finite")
-    return w
+class Problem:
+    """A triangulation with a base metric, checked once, for repeated evaluation.
+
+    The methods trust their factors to be finite with trailing dimension n
+    (see `check_factor`).  Every evaluation raises InadmissibleFactor unless
+    each margin is > 0 and >= `safety`, and NonFinite when a length exceeds
+    hexagon.SIDE_LIMIT or a boundary length or h overflows.
+    """
+
+    def __init__(self, tri: IdealTriangulation, l0):
+        self.tri = tri
+        self._log_cosh_half = log_cosh_half(_check_metric(tri, l0))
+        self._i, self._j = tri.edge_ij.T
+        # corner m of a face lies between side slots m and m+1, opposite slot m+2
+        self._sides = sides = tri.face_sides
+        self._opposite = sides[:, [2, 0, 1]]
+        self._next = sides[:, [1, 2, 0]]
+        # flat row * n + col of every (face, corner, side, endpoint) term of L
+        n = tri.n_boundaries
+        flat = tri.face_corners[:, :, None, None] * n + tri.edge_ij[sides][:, None, :, :]
+        self._l_index = np.broadcast_to(flat, (tri.n_faces, 3, 3, 2)).ravel()
+
+    def check_factor(self, w) -> np.ndarray:
+        """w as a float array; ValueError unless finite with trailing dimension n."""
+        w = np.asarray(w, dtype=float)
+        n = self.tri.n_boundaries
+        if w.shape[-1:] != (n,):
+            raise ValueError(f"factor must have trailing dimension {n}, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("conformal factor entries must be finite")
+        return w
+
+    def margin(self, w) -> np.ndarray:
+        """Per-edge margins, shape (..., |E|); w is admissible iff all are > 0."""
+        return w[..., self._i] + w[..., self._j] + self._log_cosh_half
+
+    def _lengths(self, w, safety: float, limit: float = SIDE_LIMIT) -> np.ndarray:
+        """Deformed edge lengths, shape (..., |E|), each at most `limit`."""
+        margin = self.margin(w)
+        low = margin.min()
+        if not (low > 0.0 and low >= safety):
+            flat = margin.reshape(-1, margin.shape[-1])
+            bad = ~((flat > 0.0) & (flat >= safety))
+            state = int(np.argmax(bad.any(axis=1)))
+            edge = int(np.argmax(bad[state]))
+            raise InadmissibleFactor(
+                f"admissibility violated on edge {edge} (margin {flat[state][edge]:.3e})",
+                edge_index=edge,
+            )
+        # l = 2 arccosh(e^margin); expm1 keeps precision for margins near 0.
+        # Overflow is legal input here (flow trial steps probe far states), so
+        # callers silence the warning and the check below signals it.
+        lengths = 2.0 * arccosh1p(np.expm1(margin))
+        if not lengths.max() <= limit:
+            raise NonFinite(f"deformed length {lengths.max():.6g} exceeds {limit:.6g}")
+        return lengths
+
+    def _boundary(self, w, safety):
+        lengths = self._lengths(w, safety)
+        ch, sh = np.cosh(lengths), np.sinh(lengths)
+        a, b = self._sides, self._next
+        u = cosine_excess(ch[..., self._opposite], lengths[..., a], lengths[..., b],
+                          sh[..., a], sh[..., b])
+        # a non-contiguous operand takes another matmul path, with other rounding
+        arcs = np.ascontiguousarray(arccosh1p(u))
+        B = arcs.reshape(arcs.shape[:-2] + (-1,)) @ self.tri.corner_scatter
+        # every arc enters exactly one B_i, so this also checks every arc
+        if not np.isfinite(B).all():
+            raise NonFinite("arc computation overflowed")
+        return B, lengths, ch, sh, u
+
+    def boundary_lengths(self, w, safety: float = 0.0) -> np.ndarray:
+        """Geodesic boundary lengths B, shape (..., n)."""
+        with np.errstate(over="ignore"):
+            return self._boundary(w, safety)[0]
+
+    def evaluate(self, w, safety: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """B and the dense n x n Jacobian L[i, j] = dB_i/dw_j at one factor w."""
+        with np.errstate(over="ignore"):
+            B, lengths, ch, sh, u = self._boundary(w, safety)
+            h = invariant_h(ch[self._sides])
+            if not np.isfinite(h).all():
+                raise NonFinite("hexagon invariant overflowed")
+            jac = arc_side_entries(sh[self._opposite], u, 1.0 / np.sqrt(h), THIRD_CORNER)
+        growth = 2.0 / np.tanh(lengths / 2.0)
+        vals = jac * growth[self._sides][:, None, :]
+        n = self.tri.n_boundaries
+        L = np.bincount(self._l_index, weights=np.repeat(vals.ravel(), 2), minlength=n * n)
+        return B, L.reshape(n, n)
 
 
 def admissibility_margin(tri: IdealTriangulation, l0, w) -> np.ndarray:
     """Per-edge margins, shape (..., |E|); w is admissible iff all are > 0."""
-    l0 = _check_metric(tri, l0)
-    w = _check_factor(tri, w)
-    i, j = tri.edge_ij[:, 0], tri.edge_ij[:, 1]
-    return w[..., i] + w[..., j] + log_cosh_half(l0)
+    problem = Problem(tri, l0)
+    return problem.margin(problem.check_factor(w))
 
 
 def deform(tri: IdealTriangulation, l0, w) -> np.ndarray:
@@ -72,41 +156,17 @@ def deform(tri: IdealTriangulation, l0, w) -> np.ndarray:
 
     Raises InadmissibleFactor (carrying the offending edge index) if any
     margin is non-positive; for a batch, the first offending edge of the
-    first offending state.
+    first offending state.  Raises NonFinite if a length overflows.
     """
-    margin = admissibility_margin(tri, l0, w)
-    if np.any(margin <= 0.0):
-        flat = margin.reshape(-1, tri.n_edges)
-        state = int(np.argmax(np.any(flat <= 0.0, axis=1)))
-        edge = int(np.argmax(flat[state] <= 0.0))
-        raise InadmissibleFactor(
-            f"admissibility violated on edge {edge} (margin {flat[state][edge]:.3e})",
-            edge_index=edge,
-        )
-    # l = 2 arccosh(e^margin); expm1 keeps precision for margins near 0.
-    # Overflow is legal input here (flow trial steps probe far states), so
-    # silence the warning and signal through the explicit finiteness check.
+    problem = Problem(tri, l0)
     with np.errstate(over="ignore"):
-        u = np.expm1(margin)
-        lengths = 2.0 * np.log1p(u + np.sqrt(u * (u + 2.0)))
-    if not np.all(np.isfinite(lengths)):
-        raise NonFinite("deformed length overflowed double precision")
-    return lengths
-
-
-def corner_arcs(tri: IdealTriangulation, l0, w) -> np.ndarray:
-    """Arc lengths at each face corner slot, shape (..., |F|, 3)."""
-    lengths = deform(tri, l0, w)
-    sides = lengths[..., tri.face_sides]
-    arcs = opposite_arcs(sides)
-    return arcs[..., CORNER_TO_OPPOSITE_SIDE]
+        return problem._lengths(problem.check_factor(w), 0.0, np.finfo(float).max)
 
 
 def boundary_lengths(tri: IdealTriangulation, l0, w) -> np.ndarray:
     """Geodesic boundary lengths B, shape (..., n)."""
-    theta = corner_arcs(tri, l0, w)
-    flat = theta.reshape(theta.shape[:-2] + (3 * tri.n_faces,))
-    return flat @ tri.corner_scatter
+    problem = Problem(tri, l0)
+    return problem.boundary_lengths(problem.check_factor(w))
 
 
 def dumps_metric(l0) -> str:

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conformal import admissibility_margin, boundary_lengths
+from .conformal import Problem
 from .errors import InadmissibleFactor, QuadratureStall
 from .triangulation import IdealTriangulation
 
@@ -43,11 +43,13 @@ def _gl_nodes(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _require_admissible(tri, l0, w, label: str) -> None:
-    margin = admissibility_margin(tri, l0, w)
+def _require_admissible(problem: Problem, w, label: str) -> np.ndarray:
+    w = problem.check_factor(w)
+    margin = problem.margin(w)
     if np.any(margin <= 0.0):
         edge = int(np.argmax(margin <= 0.0))
         raise InadmissibleFactor(f"{label} is inadmissible on edge {edge}", edge_index=edge)
+    return w
 
 
 def segment_flux(
@@ -66,14 +68,21 @@ def segment_flux(
     on 2^k panels, doubling k until two levels agree to rtol (relative,
     floored at magnitude 1).
     """
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    _require_admissible(tri, l0, start, "segment start")
-    _require_admissible(tri, l0, end, "segment end")
+    problem = Problem(tri, l0)
+    start = _require_admissible(problem, start, "segment start")
+    end = _require_admissible(problem, end, "segment end")
+    return _segment_flux(problem, start, end, targets, rtol, max_refinements)
+
+
+def _segment_flux(
+    problem: Problem, start, end, targets=None, rtol=1e-10, max_refinements=MAX_REFINEMENTS
+) -> float:
+    """segment_flux on a checked problem, between two admissible factors."""
     delta = end - start
     if not np.any(delta):
         return 0.0
-    t = np.zeros(tri.n_boundaries) if targets is None else np.asarray(targets, dtype=float)
+    n = problem.tri.n_boundaries
+    t = np.zeros(n) if targets is None else np.asarray(targets, dtype=float)
 
     nodes, weights = _gl_nodes(GL_POINTS)
     prev = None
@@ -82,7 +91,7 @@ def segment_flux(
         offsets = np.arange(panels) / panels
         u = (offsets[:, None] + nodes[None, :] / panels).ravel()
         states = start[None, :] + u[:, None] * delta[None, :]
-        flux = (t[None, :] - boundary_lengths(tri, l0, states)) @ delta
+        flux = (t[None, :] - problem.boundary_lengths(states)) @ delta
         total = float(np.sum(flux.reshape(panels, -1) @ weights) / panels)
         if prev is not None and abs(total - prev) <= rtol * max(1.0, abs(total)):
             return total

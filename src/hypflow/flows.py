@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import admissibility_margin, boundary_lengths
-from .energy import c_value, potential_phi, psi_gap, segment_flux, upsilon_value
+from .conformal import Problem
+from .energy import _segment_flux, c_value, upsilon_value
 from .errors import (
     EigSolveFailure,
     InadmissibleFactor,
@@ -43,8 +43,8 @@ from .errors import (
     NonFinite,
     StepCollapse,
 )
-from .jacobian import boundary_jacobian, delta_power
-from .newton import solve_prescribed
+from .jacobian import delta_power
+from .newton import _solve
 from .triangulation import IdealTriangulation
 
 GUO = "guo"
@@ -99,20 +99,25 @@ class FlowSpec:
 
 def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
     """dw/dt at the factor w."""
-    w = np.asarray(w, dtype=float)
-    B = boundary_lengths(tri, l0, w)
+    problem = Problem(tri, l0)
+    return _field(problem, problem.check_factor(w), spec)[0]
+
+
+def _field(problem: Problem, w, spec: FlowSpec, safety: float = 0.0):
+    """(dw/dt, B) at w; InadmissibleFactor if a margin is below safety."""
+    if spec.kind == FRACTIONAL_CALABI and spec.s != 0.0:
+        B, L = problem.evaluate(w, safety)
+        return delta_power(L, spec.s).matrix @ (B - spec.targets), B
+    B = problem.boundary_lengths(w, safety)
     if spec.kind == GUO:
-        return B
+        return B, B
     diff = B - spec.targets
     if spec.kind == FRACTIONAL_CALABI:
-        if spec.s == 0.0:
-            # the zero power is the identity; skipping the eigensolver keeps
-            # the s = 0 field exact
-            return diff
-        L = boundary_jacobian(tri, l0, w)
-        return delta_power(L, spec.s).matrix @ diff
+        # the zero power is the identity; skipping the eigensolver keeps
+        # the s = 0 field exact
+        return diff, B
     g = ((2.0 - spec.p) * B + spec.p * spec.targets) / B ** (spec.p + 1.0)
-    return g * diff
+    return g * diff, B
 
 
 @dataclass
@@ -161,10 +166,14 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     target-seeking flows solve for w* once up front to anchor the recorded
     Lyapunov values; solver failures propagate.
     """
-    w = np.asarray(w0, dtype=float).copy()
-    targets = _effective_targets(tri.n_boundaries, spec)
+    problem = Problem(tri, l0)
+    w = problem.check_factor(w0).copy()
+    n = tri.n_boundaries
+    targets = _effective_targets(n, spec)
+    if targets.shape != (n,):
+        raise ValueError(f"targets must have shape ({n},), got {targets.shape}")
 
-    margins = admissibility_margin(tri, l0, w)
+    margins = problem.margin(w)
     if np.min(margins) < spec.safety:
         edge = int(np.argmin(margins))
         raise InadmissibleFactor(
@@ -172,19 +181,21 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             edge_index=edge,
         )
 
-    B = boundary_lengths(tri, l0, w)
+    B = problem.boundary_lengths(w)
     residual = float(np.max(np.abs(B - targets)))
 
     track_lyapunov = spec.kind != GUO
     if track_lyapunov:
         energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
-        w_star = solve_prescribed(tri, l0, targets, tol=1e-10).w_star
+        w_star = _solve(
+            problem, targets, np.zeros(n), tol=1e-10, max_iterations=200, safety=1e-6
+        ).w_star
         last_penalty = _penalty(B, spec, targets)
-        energy = psi_gap(tri, l0, w, w_star, targets) + last_penalty
+        energy = _segment_flux(problem, w_star, w, targets) + last_penalty
     else:
         energy_kind = "phi"
         w_star = None
-        energy = potential_phi(tri, l0, w)
+        energy = _segment_flux(problem, np.zeros(n), w)
 
     ts = [0.0]
     ws = [w.copy()]
@@ -211,9 +222,8 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             rejected_steps=rejected,
         )
 
-    def margins_ok(state) -> bool:
-        return float(np.min(admissibility_margin(tri, l0, state))) >= spec.safety
-
+    # k1 is the field at w: computed once at the start, then carried over
+    # from the last stage of each accepted step (first same as last)
     k1 = None
     while status is None:
         if spec.t_max - t < STEP_FLOOR:
@@ -221,29 +231,21 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             break
         h_try = min(h, spec.t_max - t)
 
-        proposal = None
         try:
             if k1 is None:
-                k1 = vector_field(tri, l0, w, spec)
-            w2 = w + 0.5 * h_try * k1
-            if margins_ok(w2):
-                k2 = vector_field(tri, l0, w2, spec)
-                w3 = w + 0.5 * h_try * k2
-                if margins_ok(w3):
-                    k3 = vector_field(tri, l0, w3, spec)
-                    w4 = w + h_try * k3
-                    if margins_ok(w4):
-                        k4 = vector_field(tri, l0, w4, spec)
-                        w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                        if margins_ok(w_new):
-                            proposal = (w_new, boundary_lengths(tri, l0, w_new))
+                k1 = _field(problem, w, spec)[0]
+            # a stage below the safety floor raises InadmissibleFactor
+            k2 = _field(problem, w + 0.5 * h_try * k1, spec, spec.safety)[0]
+            k3 = _field(problem, w + 0.5 * h_try * k2, spec, spec.safety)[0]
+            k4 = _field(problem, w + h_try * k3, spec, spec.safety)[0]
+            w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k_new, B_new = _field(problem, w_new, spec, spec.safety)
         except (InadmissibleFactor, NonFinite, EigSolveFailure):
-            proposal = None
-
-        if proposal is not None:
-            w_new, B_new = proposal
+            accept = False
+        else:
+            accept = True
             # targets are zero for guo, so this is the phi increment there
-            delta_energy = segment_flux(tri, l0, w, w_new, targets=targets, rtol=1e-12)
+            delta_energy = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
             if track_lyapunov:
                 penalty_new = _penalty(B_new, spec, targets)
                 # lyapunov change over the step; reject any increase, and
@@ -251,9 +253,9 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 # sequence is non-increasing in float arithmetic too
                 delta_energy = delta_energy + penalty_new - last_penalty
                 if delta_energy > 0.0:
-                    proposal = None
+                    accept = False
 
-        if proposal is None:
+        if not accept:
             rejected += 1
             consecutive = 0
             h = h_try / 2.0
@@ -264,9 +266,8 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 )
             continue
 
-        w, B = proposal
+        w, B, k1 = w_new, B_new, k_new
         t += h_try
-        k1 = None
         energy = energy + delta_energy
         if track_lyapunov:
             last_penalty = penalty_new

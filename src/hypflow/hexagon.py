@@ -25,8 +25,11 @@ sinh t_m sinh a_{m+1} sinh a_{m+2} = sqrt(h) (same identity for every m) gives
     dt_m/da_m = sinh a_m / sqrt(h)
     dt_m/da_q = -sinh a_m cosh t_r / sqrt(h)   (q != m, r the third index)
 
-All functions accept arrays of shape (..., 3) and vectorize over the leading
-axes.
+`opposite_arcs` and `arc_side_jacobian` take sides of shape (..., 3) in slot
+order and vectorize over the leading axes.  The formulas themselves
+(`cosine_excess`, `arccosh1p`, `invariant_h`, `arc_side_entries`) take their
+operands already gathered, so that `conformal.Problem` can feed them
+per-edge cosh and sinh values in corner order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,36 @@ from .errors import NonFinite
 # cosh and the products entering h overflow well before sides reach 710;
 # flows never get near this, so treat it as a hard error instead of clamping
 SIDE_LIMIT = 350.0
+
+# THIRD_SLOT[m][q]: the row whose cosh enters dt_m/da_q, 3 where q == m
+THIRD_SLOT = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
+
+
+def arccosh1p(u):
+    """arccosh(1 + u) for u >= 0, without the cancellation near u = 0."""
+    return np.log1p(u + np.sqrt(u * (u + 2.0)))
+
+
+def cosine_excess(cosh_opposite, a, b, sinh_a, sinh_b):
+    """u = cosh t - 1 for the arc t opposite a side, between sides a and b."""
+    return (cosh_opposite + np.cosh(a - b)) / (sinh_a * sinh_b)
+
+
+def invariant_h(ch):
+    """h from ch, the cosh of the three sides, shape (..., 3), in slot order."""
+    return np.sum(ch * ch, axis=-1) + 2.0 * np.prod(ch, axis=-1) - 1.0
+
+
+def arc_side_entries(sinh_opposite, u, inv_sqrt_h, third):
+    """Entries dt_k/da_q, shape (..., 3, 3), for rows k in any order.
+
+    sinh_opposite[..., k] is the sinh of the side opposite row k's arc and
+    u[..., k] that arc's cosine excess; third[k][q] is the row holding the
+    third arc's u, or 3 where side q is opposite row k's arc.
+    """
+    pad = np.ones(u.shape[:-1] + (1,))
+    factor = np.concatenate([-(1.0 + u), pad], axis=-1)[..., third]
+    return sinh_opposite[..., :, None] * factor * inv_sqrt_h[..., None, None]
 
 
 def _check_sides(sides: np.ndarray) -> np.ndarray:
@@ -51,17 +84,22 @@ def _check_sides(sides: np.ndarray) -> np.ndarray:
     return s
 
 
+def _slot_excess(s):
+    """u, cosh and sinh in slot order: arc m is opposite side m, between m+1 and m+2."""
+    ch, sh = np.cosh(s), np.sinh(s)
+    a, b = [1, 2, 0], [2, 0, 1]
+    u = cosine_excess(ch, s[..., a], s[..., b], sh[..., a], sh[..., b])
+    return u, ch, sh
+
+
 def opposite_arcs(sides) -> np.ndarray:
     """Arc lengths of the right-angled hexagon with the given alternating sides.
 
     ``arcs[..., m]`` is the arc opposite ``sides[..., m]``.
     """
     s = _check_sides(sides)
-    s1 = np.roll(s, -1, axis=-1)
-    s2 = np.roll(s, -2, axis=-1)
     with np.errstate(over="ignore"):
-        u = (np.cosh(s) + np.cosh(s1 - s2)) / (np.sinh(s1) * np.sinh(s2))
-        arcs = np.log1p(u + np.sqrt(u * (u + 2.0)))
+        arcs = arccosh1p(_slot_excess(s)[0])
     if not np.all(np.isfinite(arcs)):
         raise NonFinite("arc computation overflowed")
     return arcs
@@ -74,27 +112,12 @@ def arc_side_jacobian(sides) -> np.ndarray:
     arc); off-diagonal entries are negative.
     """
     s = _check_sides(sides)
-    s1 = np.roll(s, -1, axis=-1)
-    s2 = np.roll(s, -2, axis=-1)
     with np.errstate(over="ignore"):
-        u = (np.cosh(s) + np.cosh(s1 - s2)) / (np.sinh(s1) * np.sinh(s2))
-        cosh_arcs = 1.0 + u
-
-        ch = np.cosh(s)
-        h = np.sum(ch * ch, axis=-1) + 2.0 * np.prod(ch, axis=-1) - 1.0
+        u, ch, sh = _slot_excess(s)
+        h = invariant_h(ch)
+        jac = arc_side_entries(sh, u, 1.0 / np.sqrt(h), THIRD_SLOT)
     if not np.all(np.isfinite(h)):
         raise NonFinite("hexagon invariant overflowed")
-    inv_sqrt_h = 1.0 / np.sqrt(h)
-    sh = np.sinh(s)
-
-    jac = np.empty(s.shape + (3,), dtype=float)
-    for m in range(3):
-        for q in range(3):
-            if m == q:
-                jac[..., m, q] = sh[..., m] * inv_sqrt_h
-            else:
-                r = 3 - m - q
-                jac[..., m, q] = -sh[..., m] * cosh_arcs[..., r] * inv_sqrt_h
     if not np.all(np.isfinite(jac)):
         raise NonFinite("arc Jacobian overflowed")
     return jac

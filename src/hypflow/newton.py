@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import admissibility_margin, boundary_lengths
+from .conformal import Problem
+from .energy import _segment_flux
 from .errors import EigSolveFailure, LineSearchFailure, MaxIterations
-from .jacobian import boundary_jacobian
-from .energy import segment_flux
 from .triangulation import IdealTriangulation
 
 ARMIJO = 1e-4
@@ -57,16 +56,18 @@ def solve_prescribed(
     EigSolveFailure if the Hessian factorization fails, which signals that
     the iterate left the region where -L is trustworthy.
     """
+    n = tri.n_boundaries
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (tri.n_boundaries,) or np.any(targets <= 0.0):
-        raise ValueError("targets must be strictly positive, one per boundary component")
-    w = (
-        np.zeros(tri.n_boundaries)
-        if w_init is None
-        else np.asarray(w_init, dtype=float).copy()
-    )
+    if targets.shape != (n,) or not np.all(np.isfinite(targets) & (targets > 0.0)):
+        raise ValueError("targets must be strictly positive finite lengths, one per boundary")
+    problem = Problem(tri, l0)
+    w = np.zeros(n) if w_init is None else problem.check_factor(w_init).copy()
+    return _solve(problem, targets, w, tol, max_iterations, safety)
 
-    B = boundary_lengths(tri, l0, w)
+
+def _solve(problem: Problem, targets, w, tol, max_iterations, safety) -> SolveReport:
+    """solve_prescribed on a checked problem, targets and start."""
+    B, L = problem.evaluate(w)
     residual = float(np.max(np.abs(B - targets)))
     iterations = 0
     while residual >= tol:
@@ -75,7 +76,6 @@ def solve_prescribed(
                 f"no convergence after {max_iterations} iterations (residual {residual:.3e})",
                 report=SolveReport(w, iterations, residual, False),
             )
-        L = boundary_jacobian(tri, l0, w)
         try:
             factor = np.linalg.cholesky(-L)
         except np.linalg.LinAlgError as exc:
@@ -86,8 +86,8 @@ def solve_prescribed(
         alpha = 1.0
         while True:
             w_try = w + alpha * step
-            if np.min(admissibility_margin(tri, l0, w_try)) >= safety:
-                decrement = segment_flux(tri, l0, w, w_try, targets=targets, rtol=1e-12)
+            if np.min(problem.margin(w_try)) >= safety:
+                decrement = _segment_flux(problem, w, w_try, targets, rtol=1e-12)
                 if decrement <= ARMIJO * alpha * slope:
                     break
             alpha *= 0.5
@@ -97,7 +97,7 @@ def solve_prescribed(
                     report=SolveReport(w, iterations, residual, False),
                 )
         w = w_try
-        B = boundary_lengths(tri, l0, w)
+        B, L = problem.evaluate(w)
         residual = float(np.max(np.abs(B - targets)))
         iterations += 1
     return SolveReport(w, iterations, residual, True)

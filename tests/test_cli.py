@@ -175,6 +175,33 @@ def test_solve_rejects_zero_target(pants_mesh):
     assert main(["solve", "--mesh", pants_mesh, "--targets", "0,1,1"]) == 2
 
 
+def test_nonfinite_targets_are_usage_errors(pants_mesh):
+    # a NaN target used to pass as converged (residual nan), an infinite one
+    # ended in a traceback
+    for targets in ("nan", "inf,1,1"):
+        assert main(["solve", "--mesh", pants_mesh, "--targets", targets]) == 2
+        assert main(["flow", "--mesh", pants_mesh, "--kind", "fractional-calabi",
+                     "--targets", targets]) == 2
+        assert main(["compare", "--mesh", pants_mesh, "--s=0",
+                     "--targets", targets]) == 2
+
+
+def test_solve_safety_blocks_solution(pants_mesh, capsys):
+    # every margin at w* for targets 1 is 0.797, below the floor of 0.9
+    assert main(["solve", "--mesh", pants_mesh, "--targets", "1,1,1",
+                 "--w0", "0.2", "--safety", "0.9"]) == 1
+    assert "backtracking stalled" in capsys.readouterr().err
+
+
+def test_solve_start_below_safety(pants_mesh):
+    # every margin at w = 0 is ln 2 = 0.693
+    assert main(["solve", "--mesh", pants_mesh, "--targets", "1,1,1",
+                 "--safety", "0.9"]) == 2
+    # a negative floor lets the line search probe inadmissible factors
+    assert main(["solve", "--mesh", pants_mesh, "--targets", "30,30,30",
+                 "--safety", "-1"]) == 2
+
+
 def test_compare_variants(pants_mesh, tmp_path):
     csv_path = tmp_path / "cmp.csv"
     json_path = tmp_path / "cmp.json"

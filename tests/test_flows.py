@@ -231,3 +231,27 @@ def test_decay_rate_refuses_stalled_tail():
     assert traj.status == "TimeBudgetExhausted"
     with pytest.raises(InsufficientData):
         decay_rate(traj)
+
+
+# the README `compare --s=-1,0,1 --p=0,1` table on the pants, targets 1:
+# (kind, param, samples, decay_rate, final_residual) as printed with %.17g
+README_COMPARE = [
+    ("fractional-calabi", -1.0, 166, 0.99999909471081461, 9.5038490410814802e-09),
+    ("fractional-calabi", 0.0, 68, 2.459391643913019, 8.1194144740948104e-09),
+    ("fractional-calabi", 1.0, 28, 6.0378506757312449, 8.2374667087492526e-09),
+    ("generalized-yamabe", 0.0, 35, 4.9153441864333551, 6.4261498344819756e-09),
+    ("generalized-yamabe", 1.0, 35, 4.9153288856480453, 7.7846193935471319e-09),
+]
+
+
+@pytest.mark.parametrize("kind, param, samples, rate, residual", README_COMPARE)
+def test_readme_compare_table_is_pinned(pants, symmetric_l0, kind, param, samples,
+                                        rate, residual):
+    # a kernel change that moves a trajectory by one rounding shows here
+    spec = FlowSpec(kind=kind, targets=TARGETS,
+                    s=param if kind == "fractional-calabi" else 0.0,
+                    p=param if kind == "generalized-yamabe" else 0.0)
+    traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
+    assert traj.n_samples == samples
+    assert traj.residuals[-1] == residual
+    assert decay_rate(traj).rate == rate

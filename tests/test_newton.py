@@ -5,7 +5,7 @@ import pytest
 
 from hypflow import instances
 from hypflow.conformal import admissibility_margin, boundary_lengths
-from hypflow.errors import MaxIterations
+from hypflow.errors import LineSearchFailure, MaxIterations
 from hypflow.newton import solve_prescribed
 
 
@@ -84,6 +84,19 @@ def test_rejects_nonpositive_targets(pants, symmetric_l0):
         solve_prescribed(pants, symmetric_l0, np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         solve_prescribed(pants, symmetric_l0, np.array([1.0, -2.0, 1.0]))
+    # neither is NaN or infinity a length
+    with pytest.raises(ValueError):
+        solve_prescribed(pants, symmetric_l0, np.array([np.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        solve_prescribed(pants, symmetric_l0, np.array([np.inf, 1.0, 1.0]))
+
+
+def test_safety_floor_blocks_solution(pants, symmetric_l0):
+    # every margin at w* for targets 1 is 0.797, below the floor of 0.9
+    with pytest.raises(LineSearchFailure) as exc:
+        solve_prescribed(pants, symmetric_l0, np.ones(3), w_init=np.full(3, 0.2), safety=0.9)
+    assert not exc.value.report.converged
+    assert np.all(admissibility_margin(pants, symmetric_l0, exc.value.report.w_star) >= 0.9)
 
 
 def test_report_serialization(pants, symmetric_l0):
