@@ -124,8 +124,8 @@ def _read_start(args, tri, l0, need_targets: bool) -> tuple:
         targets = _parse_vector(args.targets, n, "--targets")
         if not np.all(np.isfinite(targets)) or np.any(targets <= 0.0):
             raise ValueError("--targets must be strictly positive finite lengths")
-    if args.safety < 0.0:
-        raise ValueError("--safety must be non-negative")
+    if not 0.0 <= args.safety < np.inf:
+        raise ValueError("--safety must be non-negative and finite")
     w0 = np.zeros(n) if args.w0 is None else _parse_vector(args.w0, n, "--w0")
     margin = np.min(admissibility_margin(tri, l0, w0))
     if margin < args.safety:
@@ -279,6 +279,8 @@ def cmd_solve(args) -> int:
         print(f"solver stopped early: {exc}", file=sys.stderr)
     except EigSolveFailure as exc:
         return _fail(1, f"solver failed: {exc}")
+    except ValueError as exc:
+        return _fail(2, str(exc))
     wall = time.perf_counter() - started
 
     report = _base_report(args, tri, seed, mesh_desc, metric_desc)

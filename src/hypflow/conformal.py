@@ -60,7 +60,8 @@ class Problem:
     The methods trust their factors to be finite with trailing dimension n
     (see `check_factor`).  Every evaluation raises InadmissibleFactor unless
     each margin is > 0 and >= `safety`, and NonFinite when a length exceeds
-    hexagon.SIDE_LIMIT or a boundary length or h overflows.
+    hexagon.SIDE_LIMIT or a boundary length or h overflows.  The private
+    methods leave overflow warnings to their callers to silence.
     """
 
     def __init__(self, tri: IdealTriangulation, l0):
@@ -70,7 +71,7 @@ class Problem:
         # corner m of a face lies between side slots m and m+1, opposite slot m+2
         self._sides = sides = tri.face_sides
         self._opposite = sides[:, [2, 0, 1]]
-        self._next = sides[:, [1, 2, 0]]
+        self._pair = sides[:, [[0, 1], [1, 2], [2, 0]]]
         # flat row * n + col of every (face, corner, side, endpoint) term of L
         n = tri.n_boundaries
         flat = tri.face_corners[:, :, None, None] * n + tri.edge_ij[sides][:, None, :, :]
@@ -114,9 +115,9 @@ class Problem:
     def _boundary(self, w, safety):
         lengths = self._lengths(w, safety)
         ch, sh = np.cosh(lengths), np.sinh(lengths)
-        a, b = self._sides, self._next
-        u = cosine_excess(ch[..., self._opposite], lengths[..., a], lengths[..., b],
-                          sh[..., a], sh[..., b])
+        l_pair, sh_pair = lengths[..., self._pair], sh[..., self._pair]
+        u = cosine_excess(ch[..., self._opposite], l_pair[..., 0], l_pair[..., 1],
+                          sh_pair[..., 0], sh_pair[..., 1])
         # a non-contiguous operand takes another matmul path, with other rounding
         arcs = np.ascontiguousarray(arccosh1p(u))
         B = arcs.reshape(arcs.shape[:-2] + (-1,)) @ self.tri.corner_scatter
@@ -133,11 +134,14 @@ class Problem:
     def evaluate(self, w, safety: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """B and the dense n x n Jacobian L[i, j] = dB_i/dw_j at one factor w."""
         with np.errstate(over="ignore"):
-            B, lengths, ch, sh, u = self._boundary(w, safety)
-            h = invariant_h(ch[self._sides])
-            if not np.isfinite(h).all():
-                raise NonFinite("hexagon invariant overflowed")
-            jac = arc_side_entries(sh[self._opposite], u, 1.0 / np.sqrt(h), THIRD_CORNER)
+            return self._evaluate(w, safety)
+
+    def _evaluate(self, w, safety):
+        B, lengths, ch, sh, u = self._boundary(w, safety)
+        h = invariant_h(ch[self._sides])
+        if not np.isfinite(h).all():
+            raise NonFinite("hexagon invariant overflowed")
+        jac = arc_side_entries(sh[self._opposite], u, 1.0 / np.sqrt(h), THIRD_CORNER)
         growth = 2.0 / np.tanh(lengths / 2.0)
         vals = jac * growth[self._sides][:, None, :]
         n = self.tri.n_boundaries

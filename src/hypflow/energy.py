@@ -19,7 +19,8 @@ flows are
 psi(w) - psi(w*) is always evaluated as one line integral from w* to w,
 never as a difference of two potentials: near w* both potentials are O(1)
 while the gap is O(|w - w*|^2), and the subtraction would drown it in
-rounding noise.
+rounding noise.  The line integrals stop when two quadrature levels agree,
+so a budget of zero refinements (one level) always raises QuadratureStall.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def _gl_nodes(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n_points)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+@lru_cache(maxsize=None)
+def _panel_nodes(levels: tuple[int, ...]) -> np.ndarray:
+    """Composite-rule nodes on 2^k equal panels of [0, 1], for each level k in turn."""
+    x = _gl_nodes(GL_POINTS)[0]
+    return np.concatenate([((np.arange(2**k) / 2**k)[:, None] + x / 2**k).ravel() for k in levels])
 
 
 def _require_admissible(problem: Problem, w, label: str) -> np.ndarray:
@@ -66,7 +74,9 @@ def segment_flux(
     With targets = 0 this is the potential increment phi(end) - phi(start);
     with targets = b it is psi(end) - psi(start).  Composite Gauss-Legendre
     on 2^k panels, doubling k until two levels agree to rtol (relative,
-    floored at magnitude 1).
+    floored at magnitude 1).  Levels 0 and 1, where nearly every segment
+    stops, are one batch; max_refinements=0 evaluates level 0 alone and so
+    always raises QuadratureStall.
     """
     problem = Problem(tri, l0)
     start = _require_admissible(problem, start, "segment start")
@@ -79,23 +89,25 @@ def _segment_flux(
 ) -> float:
     """segment_flux on a checked problem, between two admissible factors."""
     delta = end - start
-    if not np.any(delta):
+    if not delta.any():
         return 0.0
-    n = problem.tri.n_boundaries
-    t = np.zeros(n) if targets is None else np.asarray(targets, dtype=float)
+    t = 0.0 if targets is None else np.asarray(targets, dtype=float)
 
-    nodes, weights = _gl_nodes(GL_POINTS)
-    prev = None
-    for level in range(max_refinements + 1):
+    def flux(levels):
+        states = start + _panel_nodes(levels)[:, None] * delta
+        return (t - problem.boundary_lengths(states)) @ delta
+
+    def total(level_flux, level):
         panels = 2**level
-        offsets = np.arange(panels) / panels
-        u = (offsets[:, None] + nodes[None, :] / panels).ravel()
-        states = start[None, :] + u[:, None] * delta[None, :]
-        flux = (t[None, :] - problem.boundary_lengths(states)) @ delta
-        total = float(np.sum(flux.reshape(panels, -1) @ weights) / panels)
-        if prev is not None and abs(total - prev) <= rtol * max(1.0, abs(total)):
-            return total
-        prev = total
+        return float((level_flux.reshape(panels, -1) @ _gl_nodes(GL_POINTS)[1]).sum() / panels)
+
+    first = flux((0, 1) if max_refinements > 0 else (0,))
+    prev = total(first[:GL_POINTS], 0)
+    for level in range(1, max_refinements + 1):
+        current = total(first[GL_POINTS:] if level == 1 else flux((level,)), level)
+        if abs(current - prev) <= rtol * max(1.0, abs(current)):
+            return current
+        prev = current
     raise QuadratureStall(
         f"no agreement to rtol={rtol} after {max_refinements} refinements"
     )
@@ -113,10 +125,10 @@ def psi_gap(tri: IdealTriangulation, l0, w, w_star, targets, rtol: float = 1e-10
 
 def c_value(B, targets) -> float:
     d = np.asarray(B, dtype=float) - np.asarray(targets, dtype=float)
-    return float(np.sum(d * d))
+    return float((d * d).sum())
 
 
 def upsilon_value(B, targets, p: float) -> float:
     B = np.asarray(B, dtype=float)
     d = B - np.asarray(targets, dtype=float)
-    return float(np.sum(d * d / B**p))
+    return float((d * d / B**p).sum())

@@ -43,7 +43,7 @@ from .errors import (
     NonFinite,
     StepCollapse,
 )
-from .jacobian import delta_power
+from .jacobian import _power
 from .newton import _solve
 from .triangulation import IdealTriangulation
 
@@ -82,6 +82,8 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown flow kind {self.kind!r}, expected one of {KINDS}")
+        if not np.isfinite([self.s, self.p, self.step, self.tol, self.t_max, self.safety]).all():
+            raise ValueError("s, p, step, tol, t_max and safety must be finite")
         if self.step <= 0.0 or self.tol <= 0.0 or self.t_max <= 0.0:
             raise ValueError("step, tol and t_max must be positive")
         if self.safety < 0.0:
@@ -100,15 +102,17 @@ class FlowSpec:
 def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
     """dw/dt at the factor w."""
     problem = Problem(tri, l0)
-    return _field(problem, problem.check_factor(w), spec)[0]
+    with np.errstate(over="ignore"):
+        return _field(problem, problem.check_factor(w), spec)[0]
 
 
 def _field(problem: Problem, w, spec: FlowSpec, safety: float = 0.0):
-    """(dw/dt, B) at w; InadmissibleFactor if a margin is below safety."""
+    """(dw/dt, B) at w; InadmissibleFactor if a margin is below safety.
+    Callers silence overflow warnings, as for Problem's private methods."""
     if spec.kind == FRACTIONAL_CALABI and spec.s != 0.0:
-        B, L = problem.evaluate(w, safety)
-        return delta_power(L, spec.s).matrix @ (B - spec.targets), B
-    B = problem.boundary_lengths(w, safety)
+        B, L = problem._evaluate(w, safety)
+        return _power(L, spec.s)[0] @ (B - spec.targets), B
+    B = problem._boundary(w, safety)[0]
     if spec.kind == GUO:
         return B, B
     diff = B - spec.targets
@@ -182,7 +186,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
         )
 
     B = problem.boundary_lengths(w)
-    residual = float(np.max(np.abs(B - targets)))
+    residual = float(np.abs(B - targets).max())
 
     track_lyapunov = spec.kind != GUO
     if track_lyapunov:
@@ -197,9 +201,10 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
         w_star = None
         energy = _segment_flux(problem, np.zeros(n), w)
 
+    # w and B are never modified in place, so the lists hold them uncopied
     ts = [0.0]
-    ws = [w.copy()]
-    Bs = [B.copy()]
+    ws = [w]
+    Bs = [B]
     residuals = [residual]
     energies = [energy]
     accepted = rejected = consecutive = 0
@@ -222,68 +227,70 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             rejected_steps=rejected,
         )
 
-    # k1 is the field at w: computed once at the start, then carried over
-    # from the last stage of each accepted step (first same as last)
-    k1 = None
-    while status is None:
-        if spec.t_max - t < STEP_FLOOR:
-            status = TIME_BUDGET_EXHAUSTED
-            break
-        h_try = min(h, spec.t_max - t)
+    # trial states may overflow the kernels, which check for it themselves
+    with np.errstate(over="ignore"):
+        # k1 is the field at w: computed once at the start, then carried over
+        # from the last stage of each accepted step (first same as last)
+        k1 = None
+        while status is None:
+            if spec.t_max - t < STEP_FLOOR:
+                status = TIME_BUDGET_EXHAUSTED
+                break
+            h_try = min(h, spec.t_max - t)
 
-        try:
-            if k1 is None:
-                k1 = _field(problem, w, spec)[0]
-            # a stage below the safety floor raises InadmissibleFactor
-            k2 = _field(problem, w + 0.5 * h_try * k1, spec, spec.safety)[0]
-            k3 = _field(problem, w + 0.5 * h_try * k2, spec, spec.safety)[0]
-            k4 = _field(problem, w + h_try * k3, spec, spec.safety)[0]
-            w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k_new, B_new = _field(problem, w_new, spec, spec.safety)
-        except (InadmissibleFactor, NonFinite, EigSolveFailure):
-            accept = False
-        else:
-            accept = True
-            # targets are zero for guo, so this is the phi increment there
-            delta_energy = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
+            try:
+                if k1 is None:
+                    k1 = _field(problem, w, spec)[0]
+                # a stage below the safety floor raises InadmissibleFactor
+                k2 = _field(problem, w + 0.5 * h_try * k1, spec, spec.safety)[0]
+                k3 = _field(problem, w + 0.5 * h_try * k2, spec, spec.safety)[0]
+                k4 = _field(problem, w + h_try * k3, spec, spec.safety)[0]
+                w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k_new, B_new = _field(problem, w_new, spec, spec.safety)
+            except (InadmissibleFactor, NonFinite, EigSolveFailure):
+                accept = False
+            else:
+                accept = True
+                # targets are zero for guo, so this is the phi increment there
+                delta_energy = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
+                if track_lyapunov:
+                    penalty_new = _penalty(B_new, spec, targets)
+                    # lyapunov change over the step; reject any increase, and
+                    # record the energy with this exact quantity so the stored
+                    # sequence is non-increasing in float arithmetic too
+                    delta_energy = delta_energy + penalty_new - last_penalty
+                    if delta_energy > 0.0:
+                        accept = False
+
+            if not accept:
+                rejected += 1
+                consecutive = 0
+                h = h_try / 2.0
+                if h < STEP_FLOOR:
+                    raise StepCollapse(
+                        f"step collapsed below {STEP_FLOOR} at t = {t:.6g}",
+                        trajectory=build(GUARD_TRIGGERED),
+                    )
+                continue
+
+            w, B, k1 = w_new, B_new, k_new
+            t += h_try
+            energy = energy + delta_energy
             if track_lyapunov:
-                penalty_new = _penalty(B_new, spec, targets)
-                # lyapunov change over the step; reject any increase, and
-                # record the energy with this exact quantity so the stored
-                # sequence is non-increasing in float arithmetic too
-                delta_energy = delta_energy + penalty_new - last_penalty
-                if delta_energy > 0.0:
-                    accept = False
-
-        if not accept:
-            rejected += 1
-            consecutive = 0
-            h = h_try / 2.0
-            if h < STEP_FLOOR:
-                raise StepCollapse(
-                    f"step collapsed below {STEP_FLOOR} at t = {t:.6g}",
-                    trajectory=build(GUARD_TRIGGERED),
-                )
-            continue
-
-        w, B, k1 = w_new, B_new, k_new
-        t += h_try
-        energy = energy + delta_energy
-        if track_lyapunov:
-            last_penalty = penalty_new
-        residual = float(np.max(np.abs(B - targets)))
-        ts.append(t)
-        ws.append(w.copy())
-        Bs.append(B.copy())
-        residuals.append(residual)
-        energies.append(energy)
-        accepted += 1
-        consecutive += 1
-        if consecutive >= GROW_AFTER:
-            h = min(h * GROW_FACTOR, spec.step)
-            consecutive = 0
-        if residual < spec.tol:
-            status = CONVERGED
+                last_penalty = penalty_new
+            residual = float(np.abs(B - targets).max())
+            ts.append(t)
+            ws.append(w)
+            Bs.append(B)
+            residuals.append(residual)
+            energies.append(energy)
+            accepted += 1
+            consecutive += 1
+            if consecutive >= GROW_AFTER:
+                h = min(h * GROW_FACTOR, spec.step)
+                consecutive = 0
+            if residual < spec.tol:
+                status = CONVERGED
 
     return build(status)
 

@@ -58,7 +58,7 @@ def cosine_excess(cosh_opposite, a, b, sinh_a, sinh_b):
 
 def invariant_h(ch):
     """h from ch, the cosh of the three sides, shape (..., 3), in slot order."""
-    return np.sum(ch * ch, axis=-1) + 2.0 * np.prod(ch, axis=-1) - 1.0
+    return (ch * ch).sum(axis=-1) + 2.0 * ch.prod(axis=-1) - 1.0
 
 
 def arc_side_entries(sinh_opposite, u, inv_sqrt_h, third):

@@ -44,12 +44,16 @@ def delta_power(L, s: float) -> DeltaPower:
     is not strictly positive (L was not negative definite), or if s < 0 and
     the smallest eigenvalue sits below EIG_FLOOR times the largest.
     """
-    delta = -np.asarray(L, dtype=float)
+    return DeltaPower(float(s), *_power(np.asarray(L, dtype=float), s))
+
+
+def _power(L: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Delta^s, eigenvalues, eigenvectors) for a float array L; see `delta_power`."""
     try:
-        lam, vecs = np.linalg.eigh(delta)
+        lam, vecs = np.linalg.eigh(-L)
     except np.linalg.LinAlgError as exc:
         raise EigSolveFailure(f"symmetric eigensolver failed: {exc}") from exc
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(vecs))):
+    if not (np.isfinite(lam).all() and np.isfinite(vecs).all()):
         raise EigSolveFailure("eigendecomposition produced non-finite values")
     if lam[0] <= 0.0:
         raise EigSolveFailure(
@@ -60,5 +64,4 @@ def delta_power(L, s: float) -> DeltaPower:
             f"spectrum nearly singular (min {lam[0]:.3e}, max {lam[-1]:.3e}); "
             "refusing negative power"
         )
-    matrix = (vecs * lam**s) @ vecs.T
-    return DeltaPower(s=float(s), matrix=matrix, eigenvalues=lam, eigenvectors=vecs)
+    return (vecs * lam**s) @ vecs.T, lam, vecs

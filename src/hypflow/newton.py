@@ -60,6 +60,8 @@ def solve_prescribed(
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (n,) or not np.all(np.isfinite(targets) & (targets > 0.0)):
         raise ValueError("targets must be strictly positive finite lengths, one per boundary")
+    if not (0.0 < tol < np.inf and 0.0 <= safety < np.inf):
+        raise ValueError("tol must be positive and finite, safety non-negative and finite")
     problem = Problem(tri, l0)
     w = np.zeros(n) if w_init is None else problem.check_factor(w_init).copy()
     return _solve(problem, targets, w, tol, max_iterations, safety)

@@ -186,6 +186,24 @@ def test_nonfinite_targets_are_usage_errors(pants_mesh):
                      "--targets", targets]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--kind", "fractional-calabi", "--targets", "1,1,1", "--s", "nan"],
+    ["flow", "--kind", "generalized-yamabe", "--targets", "1,1,1", "--p", "nan"],
+    ["flow", "--kind", "fractional-calabi", "--targets", "1,1,1", "--tol", "nan",
+     "--t-max", "1"],
+    ["flow", "--kind", "fractional-calabi", "--targets", "1,1,1", "--t-max", "nan"],
+    ["flow", "--kind", "guo", "--safety", "nan", "--t-max", "1"],
+    ["solve", "--targets", "1,1,1", "--tol", "nan"],
+    ["solve", "--targets", "1,1,1", "--safety", "nan"],
+    ["compare", "--targets", "1,1,1", "--s=nan"],
+    ["compare", "--targets", "1,1,1", "--p=0", "--tol", "nan", "--t-max", "1"],
+    ["compare", "--targets", "1,1,1", "--p=0", "--safety", "nan"],
+])
+def test_nonfinite_parameters_are_usage_errors(pants_mesh, argv):
+    # a non-finite step is left to FlowSpec's own test: it never stopped a flow
+    assert main([argv[0], "--mesh", pants_mesh, *argv[1:]]) == 2
+
+
 def test_solve_safety_blocks_solution(pants_mesh, capsys):
     # every margin at w* for targets 1 is 0.797, below the floor of 0.9
     assert main(["solve", "--mesh", pants_mesh, "--targets", "1,1,1",

@@ -152,6 +152,50 @@ def test_quadrature_stall_is_detectable(pants, symmetric_l0):
                      max_refinements=0)
 
 
+def _level_by_level_flux(tri, l0, start, end, targets, rtol):
+    """The rule segment_flux documents, one level per batch: composite
+    16-point Gauss-Legendre on 2^k panels, k = 0, 1, ..., until two levels
+    agree.  Returns the value and the number of levels evaluated."""
+    x, wts = np.polynomial.legendre.leggauss(16)
+    x, wts = (x + 1.0) / 2.0, wts / 2.0
+    delta = end - start
+    prev = None
+    for k in range(21):
+        panels = 2**k
+        u = ((np.arange(panels) / panels)[:, None] + x[None, :] / panels).ravel()
+        B = boundary_lengths(tri, l0, start[None, :] + u[:, None] * delta[None, :])
+        flux = (targets[None, :] - B) @ delta
+        total = float(np.sum(flux.reshape(panels, -1) @ wts) / panels)
+        if prev is not None and abs(total - prev) <= rtol * max(1.0, abs(total)):
+            return total, k + 1
+        prev = total
+    raise AssertionError("the reference did not converge")
+
+
+def test_segment_flux_matches_level_by_level_rule(pants, symmetric_l0):
+    rng = np.random.default_rng(5)
+    tri, l0 = instances.random_instance(rng)
+    n = tri.n_boundaries
+    a = instances.random_admissible_factor(rng, tri, l0)
+    b = instances.random_admissible_factor(rng, tri, l0)
+    cases = [
+        (pants, symmetric_l0, np.zeros(3), np.array([0.1, 0.0, 0.05]), np.ones(3), 1e-12),
+        (pants, symmetric_l0, np.zeros(3), np.array([5.0, -0.2, 3.0]), np.ones(3), 1e-10),
+        # starts near the admissible boundary, where B is least smooth
+        (pants, symmetric_l0, np.array([-0.34, -0.3, -0.2]), np.array([1.0, 0.5, 2.0]),
+         np.ones(3), 1e-10),
+        (tri, l0, a, b, np.zeros(n), 1e-12),
+        (tri, l0, a, a + 3.0, np.full(n, 0.5), 1e-10),
+    ]
+    levels = []
+    for tri_k, l0_k, start, end, targets, rtol in cases:
+        expected, used = _level_by_level_flux(tri_k, l0_k, start, end, targets, rtol)
+        levels.append(used)
+        assert segment_flux(tri_k, l0_k, start, end, targets, rtol=rtol) == expected
+    # both the first-two-levels batch and the refinements past it are covered
+    assert min(levels) == 2 and max(levels) >= 4
+
+
 def test_scalar_penalties():
     B = np.array([1.0, 2.0])
     t = np.array([1.0, 1.0])

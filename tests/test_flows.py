@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hypflow import instances
-from hypflow.conformal import admissibility_margin, boundary_lengths
+from hypflow import flows, instances
+from hypflow.conformal import Problem, admissibility_margin, boundary_lengths
 from hypflow.errors import InadmissibleFactor, InsufficientData, StepCollapse
 from hypflow.flows import (
     FlowSpec,
@@ -63,6 +63,11 @@ def test_flow_spec_validation():
         FlowSpec(kind="guo", step=0.0)
     with pytest.raises(ValueError):
         FlowSpec(kind="guo", tol=-1.0)
+    # NaN fails no comparison-based bound, so every number is checked to be finite
+    for name in ("s", "p", "step", "tol", "t_max", "safety"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                FlowSpec(kind="fractional-calabi", targets=TARGETS, **{name: value})
 
 
 def test_fractional_calabi_converges_to_newton_solution(pants, symmetric_l0):
@@ -140,6 +145,33 @@ def test_step_collapse_carries_partial_trajectory(pants, symmetric_l0):
     margins = np.array([admissibility_margin(pants, symmetric_l0, w).min()
                         for w in traj.ws])
     assert np.all(margins >= spec.safety)
+
+
+def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
+    """Per accepted step: three RK4 stages, the field at the step's end, and
+    one 48-state batch for the energy quadrature's first two levels."""
+    shapes = []
+    boundary = Problem._boundary
+
+    def counting(self, w, safety):
+        shapes.append(w.shape)
+        return boundary(self, w, safety)
+
+    solve = flows._solve
+
+    def solve_unrecorded(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        shapes.clear()  # the Newton pre-solve and the initial B are not stepping
+        return report
+
+    monkeypatch.setattr(Problem, "_boundary", counting)
+    monkeypatch.setattr(flows, "_solve", solve_unrecorded)
+    traj = integrate(pants, symmetric_l0, np.zeros(3),
+                     FlowSpec(kind="fractional-calabi", targets=TARGETS, s=0.0))
+    assert traj.status == "Converged" and traj.rejected_steps == 0
+    k1 = shapes.index((3,))
+    assert k1 >= 1 and all(len(shape) == 2 for shape in shapes[:k1])  # initial energy
+    assert shapes[k1 + 1:] == ([(3,)] * 4 + [(48, 3)]) * traj.accepted_steps
 
 
 def test_decay_rate_fits_converged_run(pants, symmetric_l0):

@@ -91,6 +91,14 @@ def test_rejects_nonpositive_targets(pants, symmetric_l0):
         solve_prescribed(pants, symmetric_l0, np.array([np.inf, 1.0, 1.0]))
 
 
+def test_rejects_nonfinite_tol_and_safety(pants, symmetric_l0):
+    # a NaN tol used to end the loop at once and report convergence
+    for kwargs in ({"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0},
+                   {"safety": np.nan}, {"safety": np.inf}, {"safety": -1.0}):
+        with pytest.raises(ValueError):
+            solve_prescribed(pants, symmetric_l0, np.ones(3), **kwargs)
+
+
 def test_safety_floor_blocks_solution(pants, symmetric_l0):
     # every margin at w* for targets 1 is 0.797, below the floor of 0.9
     with pytest.raises(LineSearchFailure) as exc:
