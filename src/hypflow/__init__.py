@@ -6,12 +6,11 @@ from .conformal import (
     Problem,
     admissibility_margin,
     boundary_lengths,
-    deform,
     load_metric,
     log_cosh_half,
     save_metric,
 )
-from .energy import potential_phi, psi_gap, segment_flux
+from .energy import segment_flux
 from .errors import (
     EigSolveFailure,
     InadmissibleFactor,
@@ -33,11 +32,9 @@ from .flows import (
     Trajectory,
     decay_rate,
     integrate,
-    read_trajectory_csv,
     vector_field,
     write_trajectory_csv,
 )
-from .hexagon import arc_side_jacobian, opposite_arcs
 from .instances import (
     PANTS_EDGE_LENGTH,
     one_holed_torus,
@@ -45,7 +42,7 @@ from .instances import (
     random_admissible_factor,
     random_instance,
 )
-from .jacobian import DeltaPower, boundary_jacobian, delta_power
+from .jacobian import boundary_jacobian
 from .newton import SolveReport, solve_prescribed
 from .triangulation import (
     EdgeRecord,
@@ -66,20 +63,13 @@ __all__ = [
     "build_triangulation",
     "load_mesh",
     "save_mesh",
-    "opposite_arcs",
-    "arc_side_jacobian",
     "Problem",
     "admissibility_margin",
-    "deform",
     "boundary_lengths",
     "log_cosh_half",
     "load_metric",
     "save_metric",
     "boundary_jacobian",
-    "delta_power",
-    "DeltaPower",
-    "potential_phi",
-    "psi_gap",
     "segment_flux",
     "solve_prescribed",
     "SolveReport",
@@ -90,7 +80,6 @@ __all__ = [
     "integrate",
     "decay_rate",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "GUO",
     "FRACTIONAL_CALABI",
     "GENERALIZED_YAMABE",

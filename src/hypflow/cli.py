@@ -67,7 +67,8 @@ def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"{name}: neither an inline list nor a readable JSON array ({exc})")
-        if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
+        # JSON true and false load as bool, which isinstance(v, int) would let through
+        if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
             raise ValueError(f"{name}: file must hold a JSON array of numbers")
         values = [float(v) for v in doc]
     if len(values) == 1 and n > 1:
@@ -183,6 +184,39 @@ def _check_flow_flags(args) -> str | None:
     return None
 
 
+def _run_flow(tri, l0, w0, spec: FlowSpec, name: str):
+    """Integrate one flow and fit its decay rate.
+
+    Returns the trajectory and the report fields that `flow` and `compare`
+    share; a step collapse returns its partial trajectory, whose status is
+    GuardTriggered.  Returns None, after printing `error: <name> failed: ...`,
+    when the flow produced no trajectory at all.
+    """
+    try:
+        traj = integrate(tri, l0, w0, spec)
+    except StepCollapse as exc:
+        traj = exc.trajectory
+        print(f"step collapse: {exc}", file=sys.stderr)
+    except (InadmissibleFactor, NonFinite, EigSolveFailure, MaxIterations, LineSearchFailure) as exc:
+        _fail(1, f"{name} failed: {exc}")
+        return None
+    try:
+        fit = decay_rate(traj)
+        rate, r_squared = fit.rate, fit.r_squared
+    except InsufficientData:
+        rate = r_squared = None
+    return traj, {
+        "status": traj.status,
+        "samples": traj.n_samples,
+        "accepted_steps": traj.accepted_steps,
+        "rejected_steps": traj.rejected_steps,
+        "final_residual": float(traj.residuals[-1]),
+        "final_w": [float(v) for v in traj.ws[-1]],
+        "decay_rate": rate,
+        "decay_r_squared": r_squared,
+    }
+
+
 def cmd_flow(args) -> int:
     problem = _check_flow_flags(args)
     if problem:
@@ -204,22 +238,11 @@ def cmd_flow(args) -> int:
         return _fail(2, str(exc))
 
     started = time.perf_counter()
-    partial = False
-    try:
-        traj = integrate(tri, l0, w0, spec)
-    except StepCollapse as exc:
-        traj = exc.trajectory
-        partial = True
-        print(f"step collapse: {exc}", file=sys.stderr)
-    except (InadmissibleFactor, NonFinite, EigSolveFailure, MaxIterations, LineSearchFailure) as exc:
-        return _fail(1, f"flow failed: {exc}")
+    run = _run_flow(tri, l0, w0, spec, "flow")
+    if run is None:
+        return 1
+    traj, fields = run
     wall = time.perf_counter() - started
-
-    try:
-        fit = decay_rate(traj)
-        rate, r_squared = fit.rate, fit.r_squared
-    except InsufficientData:
-        rate = r_squared = None
 
     report = _base_report(args, tri, seed, mesh_desc, metric_desc)
     report.update(
@@ -236,17 +259,10 @@ def cmd_flow(args) -> int:
             },
             "targets": None if targets is None else [float(v) for v in targets],
             "w0": [float(v) for v in w0],
-            "status": traj.status,
-            "final_residual": float(traj.residuals[-1]),
+            **fields,
             "final_t": float(traj.ts[-1]),
-            "final_w": [float(v) for v in traj.ws[-1]],
             "final_B": [float(v) for v in traj.Bs[-1]],
-            "samples": traj.n_samples,
-            "accepted_steps": traj.accepted_steps,
-            "rejected_steps": traj.rejected_steps,
             "energy_kind": traj.energy_kind,
-            "decay_rate": rate,
-            "decay_r_squared": r_squared,
             "wall_time_s": wall,
         }
     )
@@ -254,12 +270,13 @@ def cmd_flow(args) -> int:
         write_trajectory_csv(traj, args.out_csv)
     if args.out_json:
         _write_json(args.out_json, report)
+    rate, r_squared = fields["decay_rate"], fields["decay_r_squared"]
     print(
         f"{spec.kind}: {traj.status}, samples={traj.n_samples}, "
         f"residual={traj.residuals[-1]:.3e}, t={traj.ts[-1]:.6g}"
         + (f", rate={rate:.4g} (R2={r_squared:.4f})" if rate is not None else "")
     )
-    return 0 if (traj.status == CONVERGED and not partial) else 1
+    return 0 if traj.status == CONVERGED else 1
 
 
 def cmd_solve(args) -> int:
@@ -349,34 +366,13 @@ def cmd_compare(args) -> int:
         except ValueError as exc:
             return _fail(2, f"variant {kind} {value}: {exc}")
         initial_speed = float(np.max(np.abs(vector_field(tri, l0, w0, spec))))
-        try:
-            traj = integrate(tri, l0, w0, spec)
-            status = traj.status
-        except StepCollapse as exc:
-            traj = exc.trajectory
-            status = traj.status
-        try:
-            fit = decay_rate(traj)
-            rate, r_squared = fit.rate, fit.r_squared
-        except InsufficientData:
-            rate = r_squared = None
-        if status != CONVERGED:
+        run = _run_flow(tri, l0, w0, spec, f"variant {kind} {value}: flow")
+        if run is None:
+            return 1
+        fields = run[1]
+        if fields["status"] != CONVERGED:
             all_converged = False
-        rows.append(
-            {
-                "kind": kind,
-                "param": value,
-                "status": status,
-                "samples": traj.n_samples,
-                "accepted_steps": traj.accepted_steps,
-                "rejected_steps": traj.rejected_steps,
-                "final_residual": float(traj.residuals[-1]),
-                "final_w": [float(v) for v in traj.ws[-1]],
-                "decay_rate": rate,
-                "decay_r_squared": r_squared,
-                "initial_speed": initial_speed,
-            }
-        )
+        rows.append({"kind": kind, "param": value, **fields, "initial_speed": initial_speed})
 
     columns = [
         "kind",

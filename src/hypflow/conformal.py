@@ -40,9 +40,14 @@ THIRD_CORNER = np.array([[2, 1, 3], [3, 0, 2], [0, 3, 1]])
 
 
 def log_cosh_half(l0) -> np.ndarray:
-    """ln cosh(l0/2), stable for large arguments."""
+    """ln cosh(l0/2), to full precision for short and long edges alike."""
     x = np.asarray(l0, dtype=float) / 2.0
-    return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
+    out = np.asarray(x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0))
+    # below x = 0.5 the sum above cancels; cosh x - 1 = 2 sinh^2(x/2) does not
+    if x.size and x.min() < 0.5:
+        short = x < 0.5
+        out[short] = np.log1p(2.0 * np.sinh(x[short] / 2.0) ** 2)
+    return out
 
 
 def _check_metric(tri: IdealTriangulation, l0) -> np.ndarray:
@@ -91,8 +96,14 @@ class Problem:
         """Per-edge margins, shape (..., |E|); w is admissible iff all are > 0."""
         return w[..., self._i] + w[..., self._j] + self._log_cosh_half
 
-    def _lengths(self, w, safety: float, limit: float = SIDE_LIMIT) -> np.ndarray:
-        """Deformed edge lengths, shape (..., |E|), each at most `limit`."""
+    def _lengths(self, w, safety: float) -> np.ndarray:
+        """Deformed edge lengths, shape (..., |E|).
+
+        Raises InadmissibleFactor (carrying the offending edge index) unless
+        every margin is > 0 and >= safety; for a batch, the first offending
+        edge of the first offending state.  Raises NonFinite when a length
+        exceeds hexagon.SIDE_LIMIT.
+        """
         margin = self.margin(w)
         low = margin.min()
         if not (low > 0.0 and low >= safety):
@@ -108,8 +119,8 @@ class Problem:
         # Overflow is legal input here (flow trial steps probe far states), so
         # callers silence the warning and the check below signals it.
         lengths = 2.0 * arccosh1p(np.expm1(margin))
-        if not lengths.max() <= limit:
-            raise NonFinite(f"deformed length {lengths.max():.6g} exceeds {limit:.6g}")
+        if not lengths.max() <= SIDE_LIMIT:
+            raise NonFinite(f"deformed length {lengths.max():.6g} exceeds {SIDE_LIMIT:.6g}")
         return lengths
 
     def _boundary(self, w, safety):
@@ -155,18 +166,6 @@ def admissibility_margin(tri: IdealTriangulation, l0, w) -> np.ndarray:
     return problem.margin(problem.check_factor(w))
 
 
-def deform(tri: IdealTriangulation, l0, w) -> np.ndarray:
-    """Deformed edge lengths, shape (..., |E|).
-
-    Raises InadmissibleFactor (carrying the offending edge index) if any
-    margin is non-positive; for a batch, the first offending edge of the
-    first offending state.  Raises NonFinite if a length overflows.
-    """
-    problem = Problem(tri, l0)
-    with np.errstate(over="ignore"):
-        return problem._lengths(problem.check_factor(w), 0.0, np.finfo(float).max)
-
-
 def boundary_lengths(tri: IdealTriangulation, l0, w) -> np.ndarray:
     """Geodesic boundary lengths B, shape (..., n)."""
     problem = Problem(tri, l0)
@@ -182,7 +181,8 @@ def loads_metric(text: str) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MeshFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
+    # JSON true and false load as bool, which isinstance(v, int) would let through
+    if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
         raise MeshFormatError("metric file must be a JSON array of numbers")
     arr = np.asarray(doc, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):

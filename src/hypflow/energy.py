@@ -113,16 +113,6 @@ def _segment_flux(
     )
 
 
-def potential_phi(tri: IdealTriangulation, l0, w, rtol: float = 1e-10) -> float:
-    """The potential phi(w) relative to the base point w = 0."""
-    return segment_flux(tri, l0, np.zeros(tri.n_boundaries), w, rtol=rtol)
-
-
-def psi_gap(tri: IdealTriangulation, l0, w, w_star, targets, rtol: float = 1e-10) -> float:
-    """psi(w) - psi(w_star), evaluated as a single line integral."""
-    return segment_flux(tri, l0, w_star, w, targets=targets, rtol=rtol)
-
-
 def c_value(B, targets) -> float:
     d = np.asarray(B, dtype=float) - np.asarray(targets, dtype=float)
     return float((d * d).sum())

@@ -354,25 +354,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         for k in range(traj.n_samples):
             row = [traj.ts[k], *traj.ws[k], *traj.Bs[k], traj.residuals[k], traj.energies[k]]
             fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def read_trajectory_csv(path) -> dict:
-    """Parse a trajectory CSV back into arrays (inverse of write_trajectory_csv)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty trajectory file")
-    header = lines[0].split(",")
-    if header[0] != "t" or header[-2:] != ["residual", "energy"] or (len(header) - 3) % 2:
-        raise ValueError(f"unexpected trajectory header {lines[0]!r}")
-    n = (len(header) - 3) // 2
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError("ragged trajectory rows")
-    return {
-        "ts": data[:, 0],
-        "ws": data[:, 1 : 1 + n],
-        "Bs": data[:, 1 + n : 1 + 2 * n],
-        "residuals": data[:, 1 + 2 * n],
-        "energies": data[:, 2 + 2 * n],
-    }

@@ -25,25 +25,22 @@ sinh t_m sinh a_{m+1} sinh a_{m+2} = sqrt(h) (same identity for every m) gives
     dt_m/da_m = sinh a_m / sqrt(h)
     dt_m/da_q = -sinh a_m cosh t_r / sqrt(h)   (q != m, r the third index)
 
-`opposite_arcs` and `arc_side_jacobian` take sides of shape (..., 3) in slot
-order and vectorize over the leading axes.  The formulas themselves
-(`cosine_excess`, `arccosh1p`, `invariant_h`, `arc_side_entries`) take their
-operands already gathered, so that `conformal.Problem` can feed them
-per-edge cosh and sinh values in corner order.
+The functions here (`cosine_excess`, `arccosh1p`, `invariant_h`,
+`arc_side_entries`) take their operands already gathered: `conformal.Problem`
+feeds them per-edge cosh and sinh values in corner order, for every face and
+every factor of a batch at once.  The arcs of a single hexagon come from
+`conformal.boundary_lengths` on the pair of pants with base metric
+(a_0, a_1, a_2) at w = 0: its two faces are congruent copies of the hexagon,
+and B = 2 (t_1, t_2, t_0).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite
-
 # cosh and the products entering h overflow well before sides reach 710;
 # flows never get near this, so treat it as a hard error instead of clamping
 SIDE_LIMIT = 350.0
-
-# THIRD_SLOT[m][q]: the row whose cosh enters dt_m/da_q, 3 where q == m
-THIRD_SLOT = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
 
 
 def arccosh1p(u):
@@ -57,7 +54,7 @@ def cosine_excess(cosh_opposite, a, b, sinh_a, sinh_b):
 
 
 def invariant_h(ch):
-    """h from ch, the cosh of the three sides, shape (..., 3), in slot order."""
+    """h from ch, the cosh of the three sides, shape (..., 3), in any order."""
     return (ch * ch).sum(axis=-1) + 2.0 * ch.prod(axis=-1) - 1.0
 
 
@@ -71,53 +68,3 @@ def arc_side_entries(sinh_opposite, u, inv_sqrt_h, third):
     pad = np.ones(u.shape[:-1] + (1,))
     factor = np.concatenate([-(1.0 + u), pad], axis=-1)[..., third]
     return sinh_opposite[..., :, None] * factor * inv_sqrt_h[..., None, None]
-
-
-def _check_sides(sides: np.ndarray) -> np.ndarray:
-    s = np.asarray(sides, dtype=float)
-    if s.shape[-1] != 3:
-        raise ValueError(f"sides must have shape (..., 3), got {s.shape}")
-    if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
-        raise ValueError("side lengths must be positive and finite")
-    if np.any(s > SIDE_LIMIT):
-        raise NonFinite(f"side length exceeds {SIDE_LIMIT}; hexagon out of double range")
-    return s
-
-
-def _slot_excess(s):
-    """u, cosh and sinh in slot order: arc m is opposite side m, between m+1 and m+2."""
-    ch, sh = np.cosh(s), np.sinh(s)
-    a, b = [1, 2, 0], [2, 0, 1]
-    u = cosine_excess(ch, s[..., a], s[..., b], sh[..., a], sh[..., b])
-    return u, ch, sh
-
-
-def opposite_arcs(sides) -> np.ndarray:
-    """Arc lengths of the right-angled hexagon with the given alternating sides.
-
-    ``arcs[..., m]`` is the arc opposite ``sides[..., m]``.
-    """
-    s = _check_sides(sides)
-    with np.errstate(over="ignore"):
-        arcs = arccosh1p(_slot_excess(s)[0])
-    if not np.all(np.isfinite(arcs)):
-        raise NonFinite("arc computation overflowed")
-    return arcs
-
-
-def arc_side_jacobian(sides) -> np.ndarray:
-    """Analytic Jacobian ``J[..., m, q] = d arcs[..., m] / d sides[..., q]``.
-
-    Diagonal entries are positive (lengthening the opposite side lengthens the
-    arc); off-diagonal entries are negative.
-    """
-    s = _check_sides(sides)
-    with np.errstate(over="ignore"):
-        u, ch, sh = _slot_excess(s)
-        h = invariant_h(ch)
-        jac = arc_side_entries(sh, u, 1.0 / np.sqrt(h), THIRD_SLOT)
-    if not np.all(np.isfinite(h)):
-        raise NonFinite("hexagon invariant overflowed")
-    if not np.all(np.isfinite(jac)):
-        raise NonFinite("arc Jacobian overflowed")
-    return jac

@@ -9,8 +9,6 @@ Delta^s = Q diag(lambda^s) Q^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conformal import Problem
@@ -27,28 +25,14 @@ def boundary_jacobian(tri: IdealTriangulation, l0, w) -> np.ndarray:
     return problem.evaluate(problem.check_factor(w))[1]
 
 
-@dataclass(frozen=True)
-class DeltaPower:
-    """Fractional power of Delta = -L with its eigendecomposition."""
-
-    s: float
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def delta_power(L, s: float) -> DeltaPower:
-    """Compute Delta^s for Delta = -L via the symmetric eigendecomposition.
-
-    Raises EigSolveFailure if the solver does not converge, if the spectrum
-    is not strictly positive (L was not negative definite), or if s < 0 and
-    the smallest eigenvalue sits below EIG_FLOOR times the largest.
-    """
-    return DeltaPower(float(s), *_power(np.asarray(L, dtype=float), s))
-
-
 def _power(L: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Delta^s, eigenvalues, eigenvectors) for a float array L; see `delta_power`."""
+    """(Delta^s, eigenvalues, eigenvectors) for Delta = -L, L a float array.
+
+    Uses the symmetric eigendecomposition.  Raises EigSolveFailure if the
+    solver does not converge, if the spectrum is not strictly positive (L
+    was not negative definite), or if s < 0 and the smallest eigenvalue sits
+    below EIG_FLOOR times the largest.
+    """
     try:
         lam, vecs = np.linalg.eigh(-L)
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conformal import Problem
 from .energy import _segment_flux
-from .errors import EigSolveFailure, LineSearchFailure, MaxIterations
+from .errors import EigSolveFailure, InadmissibleFactor, LineSearchFailure, MaxIterations
 from .triangulation import IdealTriangulation
 
 ARMIJO = 1e-4
@@ -88,10 +88,16 @@ def _solve(problem: Problem, targets, w, tol, max_iterations, safety) -> SolveRe
         alpha = 1.0
         while True:
             w_try = w + alpha * step
-            if np.min(problem.margin(w_try)) >= safety:
-                decrement = _segment_flux(problem, w, w_try, targets, rtol=1e-12)
-                if decrement <= ARMIJO * alpha * slope:
+            try:
+                if (np.min(problem.margin(w_try)) >= safety
+                        and _segment_flux(problem, w, w_try, targets, rtol=1e-12)
+                        <= ARMIJO * alpha * slope):
+                    B, L = problem.evaluate(w_try)
                     break
+            except InadmissibleFactor:
+                # with safety 0, a margin at a quadrature node or at w_try
+                # can round to exactly 0; that trial is rejected like any other
+                pass
             alpha *= 0.5
             if alpha < ALPHA_FLOOR:
                 raise LineSearchFailure(
@@ -99,7 +105,6 @@ def _solve(problem: Problem, targets, w, tol, max_iterations, safety) -> SolveRe
                     report=SolveReport(w, iterations, residual, False),
                 )
         w = w_try
-        B, L = problem.evaluate(w)
         residual = float(np.max(np.abs(B - targets)))
         iterations += 1
     return SolveReport(w, iterations, residual, True)

@@ -189,7 +189,8 @@ def loads_mesh(text: str) -> IdealTriangulation:
         if key not in doc:
             raise MeshFormatError(f"missing key {key!r}")
     n = doc["n_boundaries"]
-    if not isinstance(n, int):
+    # type(...) is int, not isinstance: JSON true and false load as bool, an int subclass
+    if type(n) is not int:
         raise MeshFormatError("n_boundaries must be an integer")
     edges_raw = doc["edges"]
     faces_raw = doc["faces"]
@@ -197,7 +198,7 @@ def loads_mesh(text: str) -> IdealTriangulation:
         raise MeshFormatError("edges and faces must be arrays")
     edge_endpoints = []
     for e, pair in enumerate(edges_raw):
-        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(v, int) for v in pair):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(type(v) is int for v in pair):
             raise MeshFormatError(f"edge {e}: expected a 2-element integer array")
         edge_endpoints.append((pair[0], pair[1]))
     face_descriptions = []
@@ -210,7 +211,7 @@ def loads_mesh(text: str) -> IdealTriangulation:
             or not isinstance(corners, list)
             or len(sides) != 3
             or len(corners) != 3
-            or not all(isinstance(v, int) for v in sides + corners)
+            or not all(type(v) is int for v in sides + corners)
         ):
             raise MeshFormatError(f"face {f}: sides and corners must be 3-element integer arrays")
         face_descriptions.append((tuple(sides), tuple(corners)))

@@ -12,10 +12,9 @@ import pytest
 
 from hypflow import instances
 from hypflow.conformal import admissibility_margin, boundary_lengths
-from hypflow.energy import c_value, psi_gap, segment_flux, upsilon_value
+from hypflow.energy import c_value, segment_flux, upsilon_value
 from hypflow.flows import FlowSpec, decay_rate, integrate, vector_field
-from hypflow.hexagon import arc_side_jacobian, opposite_arcs
-from hypflow.jacobian import boundary_jacobian, delta_power
+from hypflow.jacobian import _power, boundary_jacobian
 from hypflow.newton import solve_prescribed
 
 PANTS = instances.pair_of_pants()
@@ -88,10 +87,16 @@ def _run_target_flow_checks(cases, specs_for):
             yield traj, spec, targets, worst
 
 
+def _hexagon_arcs(sides):
+    """arcs[m], the arc opposite sides[m]: the pants with base metric `sides`
+    at w = 0 is two copies of that hexagon, with B = 2 (t_1, t_2, t_0)."""
+    return boundary_lengths(PANTS, sides, np.zeros(3))[[2, 0, 1]] / 2.0
+
+
 def test_c01_hexagon_kernel():
     rng = np.random.default_rng(101)
     sides = rng.uniform(0.2, 8.0, size=(10000, 3))
-    arcs = opposite_arcs(sides)
+    arcs = np.array([_hexagon_arcs(s) for s in sides])
     c, s = np.cosh(sides), np.sinh(sides)
     lhs = np.cosh(arcs) * np.roll(s, -1, axis=1) * np.roll(s, -2, axis=1)
     rhs = c + np.roll(c, -1, axis=1) * np.roll(c, -2, axis=1)
@@ -99,16 +104,16 @@ def test_c01_hexagon_kernel():
     assert residual < 1e-10
 
     side = float(np.arccosh(2.0))
-    eq_err = np.max(np.abs(opposite_arcs(np.full(3, side)) - side))
+    eq_err = np.max(np.abs(_hexagon_arcs(np.full(3, side)) - side))
     assert eq_err < 1e-12
 
     # degeneration probes: two sides growing kill the opposite arc ...
-    decreasing = [opposite_arcs(np.array([1.0, big, big]))[0]
+    decreasing = [_hexagon_arcs(np.array([1.0, big, big]))[0]
                   for big in (20.0, 40.0, 80.0)]
     assert decreasing[0] > decreasing[1] > decreasing[2] > 0.0
     assert decreasing[2] < 1e-10
     # ... while both flanking sides shrinking blow it up
-    growing = [opposite_arcs(np.array([1.0, eps, eps]))[0]
+    growing = [_hexagon_arcs(np.array([1.0, eps, eps]))[0]
                for eps in (1e-1, 1e-2, 1e-3)]
     assert growing[0] < growing[1] < growing[2]
     assert growing[2] > 10.0
@@ -157,13 +162,12 @@ def test_c03_fractional_power():
         L = boundary_jacobian(tri, l0, w)
         n = tri.n_boundaries
 
-        worst_id = max(worst_id, np.max(np.abs(delta_power(L, 0.0).matrix - np.eye(n))))
-        worst_recon = max(worst_recon, np.max(np.abs(delta_power(L, 1.0).matrix + L)))
-        half = delta_power(L, 0.5).matrix
+        worst_id = max(worst_id, np.max(np.abs(_power(L, 0.0)[0] - np.eye(n))))
+        worst_recon = max(worst_recon, np.max(np.abs(_power(L, 1.0)[0] + L)))
+        half = _power(L, 0.5)[0]
         worst_sqrt = max(worst_sqrt, np.max(np.abs(half @ half + L)))
         s, t = rng.uniform(-2.0, 2.0, 2)
-        semi = np.max(np.abs(delta_power(L, s).matrix @ delta_power(L, t).matrix
-                             - delta_power(L, s + t).matrix))
+        semi = np.max(np.abs(_power(L, s)[0] @ _power(L, t)[0] - _power(L, s + t)[0]))
         worst_semi = max(worst_semi, semi)
 
     assert worst_id < 1e-10 and worst_recon < 1e-10
@@ -327,7 +331,7 @@ def test_c10_properness_probes():
         # point with the requested minimum margin is explicit
         w = w_star - 0.5 * (m0 - margin) * np.ones(3)
         assert abs(admissibility_margin(PANTS, SYM_L0, w).min() - margin) < 1e-12
-        gap = psi_gap(PANTS, SYM_L0, w, w_star, targets)
+        gap = segment_flux(PANTS, SYM_L0, w_star, w, targets)
         B = boundary_lengths(PANTS, SYM_L0, w)
         lams.append(gap + c_value(B, targets))
         xis.append(gap + upsilon_value(B, targets, 1.0))

@@ -8,7 +8,6 @@ import pytest
 from hypflow import instances
 from hypflow.cli import main
 from hypflow.conformal import boundary_lengths, save_metric
-from hypflow.flows import read_trajectory_csv
 from hypflow.newton import solve_prescribed
 from hypflow.triangulation import save_mesh
 
@@ -49,6 +48,22 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", "--mesh", str(tmp_path / "absent.json")]) == 2
 
 
+def test_json_booleans_are_usage_errors(pants_mesh, tmp_path):
+    # JSON true loads as a bool, an int subclass; it once passed as the number 1
+    torus = {"n_boundaries": True, "edges": [[1, 1]] * 3,
+             "faces": [{"sides": [0, 1, 2], "corners": [1, 1, 1]}] * 2}
+    mesh = tmp_path / "bool.json"
+    mesh.write_text(json.dumps(torus))
+    assert main(["validate", "--mesh", str(mesh)]) == 2  # was a TypeError traceback
+    targets = tmp_path / "targets.json"
+    targets.write_text("[true, 1, 1]")
+    assert main(["solve", "--mesh", pants_mesh, "--targets", str(targets)]) == 2
+    metric = tmp_path / "metric.json"
+    metric.write_text("[true, 2, 3]")
+    assert main(["solve", "--mesh", pants_mesh, "--metric", str(metric),
+                 "--targets", "1"]) == 2
+
+
 def test_flow_converges_and_reports(pants_mesh, tmp_path):
     csv_path = tmp_path / "traj.csv"
     json_path = tmp_path / "report.json"
@@ -68,9 +83,9 @@ def test_flow_converges_and_reports(pants_mesh, tmp_path):
     assert report["parameters"]["tol"] == 1e-8
 
     # trajectory file is re-parseable and consistent with the report
-    data = read_trajectory_csv(csv_path)
-    assert data["ts"][0] == 0.0
-    assert np.allclose(data["ws"][-1], report["final_w"], rtol=0, atol=1e-15)
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    assert data[0, 0] == 0.0
+    assert np.allclose(data[-1, 1:4], report["final_w"], rtol=0, atol=1e-15)
 
     # final w matches an independent solve
     w_star = solve_prescribed(instances.pair_of_pants(),
@@ -87,8 +102,8 @@ def test_flow_guo_budget_exhausted(pants_mesh, tmp_path):
     assert rc == 1
     report = json.loads(json_path.read_text())
     assert report["status"] == "TimeBudgetExhausted"
-    data = read_trajectory_csv(csv_path)
-    assert np.all(np.diff(data["Bs"], axis=0) < 0)
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    assert np.all(np.diff(data[:, 4:7], axis=0) < 0)  # B_1..B_3
 
 
 def test_flow_usage_errors(pants_mesh):
@@ -220,6 +235,13 @@ def test_solve_start_below_safety(pants_mesh):
                  "--safety", "-1"]) == 2
 
 
+def test_solve_zero_safety_stops_early(capsys):
+    # an InadmissibleFactor used to escape the line search and exit 2, the
+    # usage-error code
+    assert main(["solve", "--seed", "0", "--targets", "60", "--safety", "0"]) == 1
+    assert "solver stopped early: backtracking stalled" in capsys.readouterr().err
+
+
 def test_compare_variants(pants_mesh, tmp_path):
     csv_path = tmp_path / "cmp.csv"
     json_path = tmp_path / "cmp.json"
@@ -254,6 +276,15 @@ def test_compare_usage_errors(pants_mesh):
     # admissible start whose margin (5.8e-7) is below the default safety
     assert main(["compare", "--mesh", pants_mesh, "--targets", "1,1,1",
                  "--s=0", "--w0=-0.3465733"]) == 2
+
+
+def test_compare_reports_a_failed_flow(capsys):
+    # the Newton pre-solve inside integrate fails at targets 60; compare used
+    # to print a traceback here
+    assert main(["compare", "--seed", "0", "--targets", "60", "--s=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: variant fractional-calabi 1.0: flow failed: ")
+    assert captured.out == ""
 
 
 def test_no_subcommand_is_usage_error():

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from hypflow import instances
 from hypflow.conformal import (
+    Problem,
     admissibility_margin,
     boundary_lengths,
-    deform,
     dumps_metric,
     load_metric,
     loads_metric,
+    log_cosh_half,
     save_metric,
 )
 from hypflow.errors import InadmissibleFactor, MeshFormatError
@@ -24,6 +26,15 @@ def test_zero_factor_is_always_admissible(pants, symmetric_l0):
     for _ in range(20):
         tri, l0 = instances.random_instance(rng)
         assert np.all(admissibility_margin(tri, l0, np.zeros(tri.n_boundaries)) > 0)
+
+
+def test_log_cosh_half_matches_mpmath():
+    # the closed form x + log1p(e^-2x) - ln 2 cancels for short edges: it was
+    # off by 8.9e-5 relative at l0 = 1e-6
+    l0 = np.geomspace(1e-8, 1400.0, 400)
+    with mp.workdps(50):
+        ref = np.array([float(mp.log(mp.cosh(mp.mpf(float(v)) / 2))) for v in l0])
+    assert np.max(np.abs(log_cosh_half(l0) - ref) / ref) < 2e-15
 
 
 def test_margin_threshold_example(pants, symmetric_l0):
@@ -42,31 +53,36 @@ def test_self_edge_margin_doubles_factor(torus, symmetric_l0):
     assert np.allclose(m, np.log(2.0) - 0.4, rtol=0, atol=1e-15)
 
 
+def lengths(tri, l0, w):
+    """The deformed edge lengths at w."""
+    return Problem(tri, l0)._lengths(np.asarray(w, dtype=float), 0.0)
+
+
 def test_deform_identity_at_zero(pants, symmetric_l0):
     # identity up to one round-trip through exp/log kernels
-    l = deform(pants, symmetric_l0, np.zeros(3))
+    l = lengths(pants, symmetric_l0, np.zeros(3))
     assert np.max(np.abs(l - symmetric_l0)) < 5e-15
     rng = np.random.default_rng(1)
     for _ in range(10):
         tri, l0 = instances.random_instance(rng)
-        assert np.max(np.abs(deform(tri, l0, np.zeros(tri.n_boundaries)) - l0)) < 5e-15
+        assert np.max(np.abs(lengths(tri, l0, np.zeros(tri.n_boundaries)) - l0)) < 5e-15
 
 
 def test_deform_closed_form_example(pants, symmetric_l0):
     # w_i + w_j = ln(3/2) lifts cosh(l/2) from 2 to 3 on every edge
     w = np.full(3, 0.5 * np.log(1.5))
-    l = deform(pants, symmetric_l0, w)
+    l = lengths(pants, symmetric_l0, w)
     assert np.allclose(l, 2.0 * np.arccosh(3.0), rtol=0, atol=1e-13)
 
 
 def test_deform_rejects_inadmissible(pants, symmetric_l0):
     with pytest.raises(InadmissibleFactor) as exc:
-        deform(pants, symmetric_l0, np.full(3, -0.35))
+        lengths(pants, symmetric_l0, np.full(3, -0.35))
     assert 0 <= exc.value.edge_index < 3
     # a factor violating only edge 1 = (2,3) reports that edge
     w = np.array([1.0, -0.4, -0.4])
     with pytest.raises(InadmissibleFactor) as exc:
-        deform(pants, symmetric_l0, w)
+        lengths(pants, symmetric_l0, w)
     assert exc.value.edge_index == 1
 
 
@@ -92,8 +108,8 @@ def test_growing_factor_shrinks_own_boundary(pants, symmetric_l0):
     # raising w_1 lengthens every incident edge and shortens B_1
     w_lo = np.zeros(3)
     w_hi = np.array([0.3, 0.0, 0.0])
-    l_lo = deform(pants, symmetric_l0, w_lo)
-    l_hi = deform(pants, symmetric_l0, w_hi)
+    l_lo = lengths(pants, symmetric_l0, w_lo)
+    l_hi = lengths(pants, symmetric_l0, w_hi)
     assert np.all(l_hi[[0, 2]] > l_lo[[0, 2]])   # edges (1,2) and (3,1)
     assert l_hi[1] == l_lo[1]                     # edge (2,3) unaffected
     assert boundary_lengths(pants, symmetric_l0, w_hi)[0] < \
@@ -158,3 +174,6 @@ def test_metric_parse_errors():
         loads_metric('{"not": "an array"}')
     with pytest.raises(MeshFormatError):
         loads_metric("[1.0, -2.0]")
+    # JSON true is a bool, not the length 1
+    with pytest.raises(MeshFormatError):
+        loads_metric("[true, 2, 3]")

@@ -5,20 +5,19 @@ import pytest
 
 from hypflow import instances
 from hypflow.conformal import boundary_lengths
-from hypflow.energy import (
-    c_value,
-    potential_phi,
-    psi_gap,
-    segment_flux,
-    upsilon_value,
-)
+from hypflow.energy import c_value, segment_flux, upsilon_value
 from hypflow.errors import InadmissibleFactor, QuadratureStall
 from hypflow.jacobian import boundary_jacobian
 from hypflow.newton import solve_prescribed
 
 
+def phi(tri, l0, w):
+    """The potential phi(w) relative to the base point w = 0."""
+    return segment_flux(tri, l0, np.zeros(tri.n_boundaries), w)
+
+
 def test_potential_vanishes_at_base_point(pants, symmetric_l0):
-    assert potential_phi(pants, symmetric_l0, np.zeros(3)) == 0.0
+    assert phi(pants, symmetric_l0, np.zeros(3)) == 0.0
     c = np.array([0.1, -0.1, 0.2])
     assert segment_flux(pants, symmetric_l0, c, c) == 0.0
 
@@ -29,7 +28,7 @@ def test_path_independence(pants, symmetric_l0):
     for _ in range(10):
         w = rng.uniform(-0.15, 0.5, 3)
         mid = rng.uniform(-0.15, 0.5, 3)
-        direct = potential_phi(pants, symmetric_l0, w)
+        direct = phi(pants, symmetric_l0, w)
         legs = (segment_flux(pants, symmetric_l0, np.zeros(3), mid)
                 + segment_flux(pants, symmetric_l0, mid, w))
         assert abs(direct - legs) < 1e-8
@@ -44,8 +43,8 @@ def test_gradient_is_minus_boundary_lengths(pants, symmetric_l0):
         for q in range(3):
             bump = np.zeros(3)
             bump[q] = h
-            fd = (potential_phi(pants, symmetric_l0, w + bump)
-                  - potential_phi(pants, symmetric_l0, w - bump)) / (2 * h)
+            fd = (phi(pants, symmetric_l0, w + bump)
+                  - phi(pants, symmetric_l0, w - bump)) / (2 * h)
             assert abs(fd + B[q]) / abs(B[q]) < 1e-6
 
 
@@ -65,7 +64,7 @@ def test_hessian_is_minus_jacobian(pants, symmetric_l0):
 
 def _lyapunov(pants, l0, w, w_star, targets, p):
     """(lambda, xi) at w, as the flows record them: psi gap plus penalty."""
-    gap = psi_gap(pants, l0, w, w_star, targets)
+    gap = segment_flux(pants, l0, w_star, w, targets)
     B = boundary_lengths(pants, l0, w)
     return gap + c_value(B, targets), gap + upsilon_value(B, targets, p)
 
@@ -90,7 +89,7 @@ def test_lyapunov_positive_away_from_critical_point(pants, symmetric_l0):
         assert xi > 0
         # the psi gap alone is positive: psi is strictly convex with its
         # minimum at w_star
-        assert psi_gap(pants, symmetric_l0, w, w_star, targets) > 0
+        assert segment_flux(pants, symmetric_l0, w_star, w, targets) > 0
 
 
 def test_upsilon_reduces_to_c_at_p_zero(pants, symmetric_l0):
@@ -108,7 +107,7 @@ def test_gap_values_independent_of_base_point(pants, symmetric_l0):
     targets = np.array([1.0, 1.5, 2.0])
     w_star = solve_prescribed(pants, symmetric_l0, targets).w_star
     w = np.array([0.3, 0.1, -0.1])
-    gap = psi_gap(pants, symmetric_l0, w, w_star, targets)
+    gap = segment_flux(pants, symmetric_l0, w_star, w, targets)
     for c in (np.zeros(3), np.array([0.2, 0.2, 0.2])):
         diff = (segment_flux(pants, symmetric_l0, c, w, targets=targets)
                 - segment_flux(pants, symmetric_l0, c, w_star, targets=targets))
@@ -126,8 +125,8 @@ def test_psi_strictly_convex_on_segments(pants, symmetric_l0):
         mid = 0.5 * (a + b)
         # 1/2 psi(a) + 1/2 psi(b) - psi(mid), written with two half-segment
         # integrals so nothing cancels
-        excess = 0.5 * (psi_gap(pants, symmetric_l0, a, mid, targets)
-                        + psi_gap(pants, symmetric_l0, b, mid, targets))
+        excess = 0.5 * (segment_flux(pants, symmetric_l0, mid, a, targets)
+                        + segment_flux(pants, symmetric_l0, mid, b, targets))
         assert excess > 0
 
 
@@ -142,7 +141,7 @@ def test_segment_flux_validates_endpoints(pants, symmetric_l0):
     with pytest.raises(InadmissibleFactor):
         segment_flux(pants, symmetric_l0, np.zeros(3), np.full(3, -1.0))
     with pytest.raises(InadmissibleFactor):
-        potential_phi(pants, symmetric_l0, np.full(3, -1.0))
+        segment_flux(pants, symmetric_l0, np.full(3, -1.0), np.zeros(3))
 
 
 def test_quadrature_stall_is_detectable(pants, symmetric_l0):

@@ -11,11 +11,10 @@ from hypflow.flows import (
     csv_header,
     decay_rate,
     integrate,
-    read_trajectory_csv,
     vector_field,
     write_trajectory_csv,
 )
-from hypflow.jacobian import boundary_jacobian, delta_power
+from hypflow.jacobian import _power, boundary_jacobian
 from hypflow.newton import solve_prescribed
 
 TARGETS = np.array([1.0, 1.0, 1.0])
@@ -38,7 +37,7 @@ def test_vector_field_shapes(pants, symmetric_l0):
     calabi1 = vector_field(pants, symmetric_l0, w,
                            FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0))
     L = boundary_jacobian(pants, symmetric_l0, w)
-    assert np.allclose(calabi1, delta_power(L, 1.0).matrix @ (B - TARGETS),
+    assert np.allclose(calabi1, _power(L, 1.0)[0] @ (B - TARGETS),
                        rtol=0, atol=1e-14)
 
 
@@ -228,20 +227,13 @@ def test_csv_round_trip(tmp_path, pants, symmetric_l0):
     assert lines[0] == csv_header(3)
     assert len(lines) == traj.n_samples + 1
 
-    data = read_trajectory_csv(path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
     # 17 significant digits reproduce every double bit-for-bit
-    assert np.array_equal(data["ts"], traj.ts)
-    assert np.array_equal(data["ws"], np.asarray(traj.ws))
-    assert np.array_equal(data["Bs"], np.asarray(traj.Bs))
-    assert np.array_equal(data["residuals"], traj.residuals)
-    assert np.array_equal(data["energies"], traj.energies)
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,x\n0,1\n")
-    with pytest.raises(ValueError):
-        read_trajectory_csv(path)
+    assert np.array_equal(data[:, 0], traj.ts)
+    assert np.array_equal(data[:, 1:4], np.asarray(traj.ws))
+    assert np.array_equal(data[:, 4:7], np.asarray(traj.Bs))
+    assert np.array_equal(data[:, 7], traj.residuals)
+    assert np.array_equal(data[:, 8], traj.energies)
 
 
 def test_trajectory_samples_property(pants, symmetric_l0):
@@ -287,3 +279,34 @@ def test_readme_compare_table_is_pinned(pants, symmetric_l0, kind, param, sample
     assert traj.n_samples == samples
     assert traj.residuals[-1] == residual
     assert decay_rate(traj).rate == rate
+
+
+def _rk4_rate(lam, h):
+    """Decay rate of RK4 with step h on dx/dt = -lam x: -ln R(-h lam) / h."""
+    z = -h * lam
+    return -np.log(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) / h
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("fractional-calabi", -1.0), ("fractional-calabi", 0.0), ("fractional-calabi", 0.5),
+    ("fractional-calabi", 1.0), ("fractional-calabi", 2.0),
+    ("generalized-yamabe", 0.0), ("generalized-yamabe", 1.0), ("generalized-yamabe", 1.5),
+])
+def test_decay_rate_matches_linearization(pants, symmetric_l0, kind, param):
+    # the symmetric start excites only the all-ones mode of -L at w*, whose
+    # eigenvalue is its Rayleigh quotient mu = 2.4595; the flow linearizes to
+    # rate mu^(s+1) (fractional-calabi) or 2 mu (yamabe, g = 2 at B = b = 1).
+    # Every step is 0.1, so the fit sees RK4's discrete rate, not the
+    # continuous one (off by 13 % at s = 2); measured agreement is 5.2e-6.
+    w_star = solve_prescribed(pants, symmetric_l0, TARGETS, tol=1e-12).w_star
+    ones = np.ones(3)
+    mu = -(ones @ boundary_jacobian(pants, symmetric_l0, w_star) @ ones) / 3.0
+    assert abs(mu - 2.459476990) < 1e-9
+    if kind == "fractional-calabi":
+        spec, lam = FlowSpec(kind=kind, targets=TARGETS, s=param), mu ** (param + 1.0)
+    else:
+        spec, lam = FlowSpec(kind=kind, targets=TARGETS, p=param), 2.0 * mu
+    traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
+    assert traj.status == "Converged"
+    assert np.allclose(np.diff(traj.ts), spec.step, rtol=0, atol=1e-12)
+    assert abs(decay_rate(traj).rate / _rk4_rate(lam, spec.step) - 1.0) < 1e-5

@@ -1,10 +1,34 @@
-"""Right-angled hexagon kernel: arc lengths and their analytic Jacobian."""
+"""Right-angled hexagon kernel: arc lengths and their analytic Jacobian.
+
+A hexagon with alternating sides (a_0, a_1, a_2) is reached through the
+public boundary lengths: the pair of pants with base metric (a_0, a_1, a_2)
+at w = 0 is two congruent copies of it, and B = 2 (t_1, t_2, t_0), where t_m
+is the arc opposite a_m.
+"""
 
 import numpy as np
 import pytest
 
+from hypflow import instances
+from hypflow.conformal import boundary_lengths
 from hypflow.errors import NonFinite
-from hypflow.hexagon import arc_side_jacobian, opposite_arcs
+from hypflow.jacobian import boundary_jacobian
+
+PANTS = instances.pair_of_pants()
+# dl_e/dw_i = 2 coth(l_e/2) for each endpoint i of edge e: (1,2), (2,3), (3,1)
+INCIDENCE = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+
+
+def hexagon_arcs(sides):
+    """arcs[m], the arc opposite sides[m]."""
+    return boundary_lengths(PANTS, sides, np.zeros(3))[[2, 0, 1]] / 2.0
+
+
+def hexagon_arc_jacobian(sides):
+    """J[m, q] = d arcs[m] / d sides[q], from dB/dw = J (dl/dw) at w = 0."""
+    d_arcs_dw = boundary_jacobian(PANTS, sides, np.zeros(3))[[2, 0, 1]] / 2.0
+    dl_dw = (2.0 / np.tanh(np.asarray(sides) / 2.0))[:, None] * INCIDENCE
+    return d_arcs_dw @ np.linalg.inv(dl_dw)
 
 
 def cosine_rule_residual(sides, arcs):
@@ -20,14 +44,14 @@ def cosine_rule_residual(sides, arcs):
 def test_equilateral_fixed_point():
     # cosh l = 2  =>  cosh(arc) = (2 + 4) / 3 = 2, so the arc equals the side
     side = float(np.arccosh(2.0))
-    arcs = opposite_arcs(np.full(3, side))
+    arcs = hexagon_arcs(np.full(3, side))
     assert np.max(np.abs(arcs - side)) < 1e-12
 
 
 def test_all_sides_five_closed_form():
     c5 = np.cosh(5.0)
     expected = np.arccosh(c5 / (c5 - 1.0))
-    arcs = opposite_arcs(np.full(3, 5.0))
+    arcs = hexagon_arcs(np.full(3, 5.0))
     assert np.max(np.abs(arcs - expected)) < 1e-12
     assert abs(expected - 0.16509610683297302) < 1e-15
 
@@ -35,7 +59,7 @@ def test_all_sides_five_closed_form():
 def test_cosine_rule_self_consistency():
     rng = np.random.default_rng(0)
     sides = rng.uniform(0.5, 3.0, size=(500, 3))
-    arcs = opposite_arcs(sides)
+    arcs = np.array([hexagon_arcs(s) for s in sides])
     assert cosine_rule_residual(sides, arcs).max() < 1e-12
 
 
@@ -45,7 +69,7 @@ def test_two_sides_large_drives_arc_to_zero():
     fixed = 1.0
     values = []
     for big in (20.0, 40.0, 80.0):
-        arcs = opposite_arcs(np.array([fixed, big, big]))
+        arcs = hexagon_arcs(np.array([fixed, big, big]))
         values.append(arcs[0])
     assert values[0] > values[1] > values[2] > 0.0
     assert values[2] < 1e-10
@@ -55,7 +79,7 @@ def test_adjacent_sides_small_drives_arc_up():
     # shrinking both sides flanking a corner makes its opposite arc blow up
     prev = 0.0
     for small in (1e-1, 1e-2, 1e-3, 1e-4):
-        arc = opposite_arcs(np.array([1.0, small, small]))[0]
+        arc = hexagon_arcs(np.array([1.0, small, small]))[0]
         assert arc > prev
         prev = arc
     assert prev > 15.0
@@ -66,11 +90,11 @@ def test_jacobian_matches_finite_differences():
     h = 1e-5
     for _ in range(50):
         sides = rng.uniform(0.5, 3.0, 3)
-        jac = arc_side_jacobian(sides)
+        jac = hexagon_arc_jacobian(sides)
         for q in range(3):
             bump = np.zeros(3)
             bump[q] = h
-            fd = (opposite_arcs(sides + bump) - opposite_arcs(sides - bump)) / (2 * h)
+            fd = (hexagon_arcs(sides + bump) - hexagon_arcs(sides - bump)) / (2 * h)
             denom = np.maximum(np.abs(fd), 1e-12)
             assert np.max(np.abs(jac[:, q] - fd) / denom) < 1e-6
 
@@ -78,7 +102,7 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_sign_pattern():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        jac = arc_side_jacobian(rng.uniform(0.5, 3.0, 3))
+        jac = hexagon_arc_jacobian(rng.uniform(0.5, 3.0, 3))
         assert np.all(np.diag(jac) > 0)        # d(arc_m)/d(opposite side) > 0
         off = jac[~np.eye(3, dtype=bool)]
         assert np.all(off < 0)
@@ -87,43 +111,30 @@ def test_jacobian_sign_pattern():
 def test_permutation_equivariance():
     rng = np.random.default_rng(3)
     sides = rng.uniform(0.5, 3.0, 3)
-    arcs = opposite_arcs(sides)
+    arcs = hexagon_arcs(sides)
     # swapping the two sides other than s_0 swaps the two arcs other than a_0
-    swapped = opposite_arcs(sides[[0, 2, 1]])
+    swapped = hexagon_arcs(sides[[0, 2, 1]])
     assert np.allclose(swapped, arcs[[0, 2, 1]], rtol=0, atol=1e-15)
     # cyclic rotation rotates the arcs
-    rolled = opposite_arcs(np.roll(sides, 1))
+    rolled = hexagon_arcs(np.roll(sides, 1))
     assert np.allclose(rolled, np.roll(arcs, 1), rtol=0, atol=1e-15)
 
 
 def test_equilateral_jacobian_cyclic_invariance():
     side = float(np.arccosh(2.0))
-    jac = arc_side_jacobian(np.full(3, side))
+    jac = hexagon_arc_jacobian(np.full(3, side))
     perm = [1, 2, 0]
     assert np.allclose(jac, jac[np.ix_(perm, perm)], rtol=0, atol=1e-14)
 
 
-def test_batched_evaluation_matches_loop():
-    rng = np.random.default_rng(4)
-    sides = rng.uniform(0.5, 3.0, size=(4, 7, 3))
-    arcs = opposite_arcs(sides)
-    jacs = arc_side_jacobian(sides)
-    assert arcs.shape == (4, 7, 3)
-    assert jacs.shape == (4, 7, 3, 3)
-    for i in range(4):
-        for j in range(7):
-            assert np.array_equal(arcs[i, j], opposite_arcs(sides[i, j]))
-            assert np.array_equal(jacs[i, j], arc_side_jacobian(sides[i, j]))
-
-
 def test_invalid_sides_rejected():
     with pytest.raises(ValueError):
-        opposite_arcs(np.array([1.0, 0.0, 1.0]))
+        hexagon_arcs(np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        opposite_arcs(np.array([1.0, -2.0, 1.0]))
+        hexagon_arcs(np.array([1.0, -2.0, 1.0]))
     with pytest.raises(ValueError):
-        opposite_arcs(np.array([1.0, np.nan, 1.0]))
+        hexagon_arcs(np.array([1.0, np.nan, 1.0]))
     with pytest.raises(NonFinite):
-        opposite_arcs(np.array([400.0, 1.0, 1.0]))
+        hexagon_arcs(np.array([400.0, 1.0, 1.0]))
     with pytest.raises(NonFinite):
-        arc_side_jacobian(np.array([400.0, 1.0, 1.0]))
+        hexagon_arc_jacobian(np.array([400.0, 1.0, 1.0]))

@@ -107,6 +107,17 @@ def test_safety_floor_blocks_solution(pants, symmetric_l0):
     assert np.all(admissibility_margin(pants, symmetric_l0, exc.value.report.w_star) >= 0.9)
 
 
+def test_zero_safety_rejects_a_trial_at_margin_zero():
+    # w* for targets 60 lies below any margin that doubles can carry here; the
+    # iterate creeps to margins near 1e-16, and a quadrature node inside a
+    # trial segment rounds to margin exactly 0.  That trial is rejected, so
+    # InadmissibleFactor no longer escapes.
+    tri, l0 = instances.random_instance(np.random.default_rng(0))
+    with pytest.raises(LineSearchFailure) as exc:
+        solve_prescribed(tri, l0, np.full(tri.n_boundaries, 60.0), safety=0.0)
+    assert np.all(admissibility_margin(tri, l0, exc.value.report.w_star) > 0)
+
+
 def test_report_serialization(pants, symmetric_l0):
     report = solve_prescribed(pants, symmetric_l0, np.ones(3))
     d = report.to_dict()

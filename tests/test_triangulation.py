@@ -136,6 +136,24 @@ def test_mesh_parse_errors():
         loads_mesh(json.dumps(bad))
 
 
+def test_mesh_rejects_json_booleans():
+    # JSON true loads as a Python bool, an int subclass, so it once passed as 1
+    pants = {"n_boundaries": 3,
+             "edges": [[1, 2], [2, 3], [3, 1]],
+             "faces": [{"sides": [0, 1, 2], "corners": [2, 3, 1]},
+                       {"sides": [0, 1, 2], "corners": [2, 3, 1]}]}
+    loads_mesh(json.dumps(pants))
+    for path, value in ((("n_boundaries",), True), (("edges", 0, 0), True),
+                        (("faces", 0, "sides", 1), True), (("faces", 1, "corners", 2), True)):
+        doc = json.loads(json.dumps(pants))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(MeshFormatError):
+            loads_mesh(json.dumps(doc))
+
+
 def test_random_instances_are_valid():
     rng = np.random.default_rng(5)
     for _ in range(50):
