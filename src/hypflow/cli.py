@@ -46,9 +46,6 @@ from .instances import PANTS_EDGE_LENGTH, random_instance
 from .newton import solve_prescribed
 from .triangulation import load_mesh, loads_mesh
 
-def _version_string() -> str:
-    return f"v{__version__}"
-
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -78,72 +75,62 @@ def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _load_instance(args) -> tuple:
-    """Returns (tri, l0, seed_used, mesh_desc, metric_desc)."""
-    if args.mesh is not None:
-        try:
-            tri = load_mesh(args.mesh)
-        except OSError as exc:
-            raise ValueError(f"cannot read mesh: {exc}")
-        except (MeshFormatError, MalformedMesh) as exc:
-            raise ValueError(f"bad mesh file: {exc}")
-        if args.metric is not None:
-            try:
-                l0 = load_metric(args.metric)
-            except OSError as exc:
-                raise ValueError(f"cannot read metric: {exc}")
-            except MeshFormatError as exc:
-                raise ValueError(f"bad metric file: {exc}")
-            if l0.shape != (tri.n_edges,):
-                raise ValueError(
-                    f"metric has {l0.shape[0]} entries but the mesh has {tri.n_edges} edges"
-                )
-            metric_desc = args.metric
-        else:
-            l0 = np.full(tri.n_edges, PANTS_EDGE_LENGTH)
-            metric_desc = "constant 2*arccosh(2)"
-        return tri, l0, args.seed, args.mesh, metric_desc
-    if args.metric is not None:
-        raise ValueError("--metric requires --mesh")
-    seed = args.seed if args.seed is not None else 0
-    tri, l0 = random_instance(np.random.default_rng(seed))
-    return tri, l0, seed, "random", "random"
+def _read(load, path, what: str):
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}")
+    except (MeshFormatError, MalformedMesh) as exc:
+        raise ValueError(f"bad {what} file: {exc}")
 
 
-def _read_start(args, tri, l0, need_targets: bool) -> tuple:
-    """Returns (targets, w0) from --targets and --w0.
+def _start(args, need_targets: bool) -> tuple:
+    """(tri, l0, targets, w0, report): the input of flow, solve and compare.
 
-    targets is None unless need_targets; w0 defaults to zeros and must keep
-    every admissibility margin at or above --safety.  Raises ValueError
-    with the usage message otherwise.
+    The instance comes from --mesh and --metric, or from --seed (default 0);
+    targets is None unless need_targets; w0 defaults to zeros.  report holds
+    the fields that every command's report shares.  Raises ValueError with
+    the usage message.  Values are checked where they are used (the metric
+    by Problem, targets and parameters by FlowSpec and solve_prescribed),
+    except that --w0 is held to --safety here: a start below the floor
+    would otherwise fail like a run that left the admissible set.
     """
+    if args.mesh is not None:
+        tri = _read(load_mesh, args.mesh, "mesh")
+        if args.metric is None:
+            l0, metric = np.full(tri.n_edges, PANTS_EDGE_LENGTH), "constant 2*arccosh(2)"
+        else:
+            l0, metric = _read(load_metric, args.metric, "metric"), args.metric
+        seed, mesh = args.seed, args.mesh
+    elif args.metric is not None:
+        raise ValueError("--metric requires --mesh")
+    else:
+        seed = 0 if args.seed is None else args.seed
+        tri, l0 = random_instance(np.random.default_rng(seed))
+        mesh = metric = "random"
     n = tri.n_boundaries
     targets = None
     if need_targets:
         if args.targets is None:
             raise ValueError(f"{args.command} requires --targets")
         targets = _parse_vector(args.targets, n, "--targets")
-        if not np.all(np.isfinite(targets)) or np.any(targets <= 0.0):
-            raise ValueError("--targets must be strictly positive finite lengths")
-    if not 0.0 <= args.safety < np.inf:
-        raise ValueError("--safety must be non-negative and finite")
     w0 = np.zeros(n) if args.w0 is None else _parse_vector(args.w0, n, "--w0")
     margin = np.min(admissibility_margin(tri, l0, w0))
     if margin < args.safety:
         raise ValueError(f"--w0 is not admissible for this metric (margin {margin:.3e})")
-    return targets, w0
-
-
-def _base_report(args, tri, seed, mesh_desc, metric_desc) -> dict:
-    return {
-        "version": _version_string(),
+    report = {
+        "version": f"v{__version__}",
         "seed": seed,
-        "mesh": mesh_desc,
-        "metric": metric_desc,
-        "n_boundaries": tri.n_boundaries,
+        "mesh": mesh,
+        "metric": metric,
+        "n_boundaries": n,
         "n_edges": tri.n_edges,
         "n_faces": tri.n_faces,
+        "command": args.command,
+        "targets": None if targets is None else [float(v) for v in targets],
+        "w0": [float(v) for v in w0],
     }
+    return tri, l0, targets, w0, report
 
 
 def _write_json(path, doc) -> None:
@@ -176,12 +163,20 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _check_flow_flags(args) -> str | None:
-    if args.s is not None and args.kind != FRACTIONAL_CALABI:
-        return "--s only applies to --kind fractional-calabi"
-    if args.p is not None and args.kind != GENERALIZED_YAMABE:
-        return "--p only applies to --kind generalized-yamabe"
-    return None
+def _spec(args, targets, kind: str, param) -> FlowSpec:
+    """The FlowSpec of one flow run by flow or compare; param is its s or p
+    (None: 0)."""
+    param = 0.0 if param is None else param
+    return FlowSpec(
+        kind=kind,
+        targets=targets,
+        s=param if kind == FRACTIONAL_CALABI else 0.0,
+        p=param if kind == GENERALIZED_YAMABE else 0.0,
+        step=args.step,
+        tol=args.tol,
+        t_max=args.t_max,
+        safety=args.safety,
+    )
 
 
 def _run_flow(tri, l0, w0, spec: FlowSpec, name: str):
@@ -218,22 +213,13 @@ def _run_flow(tri, l0, w0, spec: FlowSpec, name: str):
 
 
 def cmd_flow(args) -> int:
-    problem = _check_flow_flags(args)
-    if problem:
-        return _fail(2, problem)
     try:
-        tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-        targets, w0 = _read_start(args, tri, l0, args.kind != GUO)
-        spec = FlowSpec(
-            kind=args.kind,
-            targets=targets,
-            s=args.s if args.s is not None else 0.0,
-            p=args.p if args.p is not None else 0.0,
-            step=args.step,
-            tol=args.tol,
-            t_max=args.t_max,
-            safety=args.safety,
-        )
+        if args.s is not None and args.kind != FRACTIONAL_CALABI:
+            raise ValueError("--s only applies to --kind fractional-calabi")
+        if args.p is not None and args.kind != GENERALIZED_YAMABE:
+            raise ValueError("--p only applies to --kind generalized-yamabe")
+        tri, l0, targets, w0, report = _start(args, args.kind != GUO)
+        spec = _spec(args, targets, args.kind, args.p if args.s is None else args.s)
     except ValueError as exc:
         return _fail(2, str(exc))
 
@@ -244,10 +230,8 @@ def cmd_flow(args) -> int:
     traj, fields = run
     wall = time.perf_counter() - started
 
-    report = _base_report(args, tri, seed, mesh_desc, metric_desc)
     report.update(
         {
-            "command": "flow",
             "kind": spec.kind,
             "parameters": {
                 "s": spec.s,
@@ -257,8 +241,6 @@ def cmd_flow(args) -> int:
                 "t_max": spec.t_max,
                 "safety": spec.safety,
             },
-            "targets": None if targets is None else [float(v) for v in targets],
-            "w0": [float(v) for v in w0],
             **fields,
             "final_t": float(traj.ts[-1]),
             "final_B": [float(v) for v in traj.Bs[-1]],
@@ -280,15 +262,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-        targets, w0 = _read_start(args, tri, l0, True)
-    except ValueError as exc:
-        return _fail(2, str(exc))
-
-    started = time.perf_counter()
     code = 0
     try:
+        tri, l0, targets, w0, report = _start(args, True)
+        started = time.perf_counter()
         solve = solve_prescribed(tri, l0, targets, w_init=w0, tol=args.tol, safety=args.safety)
     except (MaxIterations, LineSearchFailure) as exc:
         solve = exc.report
@@ -300,14 +277,10 @@ def cmd_solve(args) -> int:
         return _fail(2, str(exc))
     wall = time.perf_counter() - started
 
-    report = _base_report(args, tri, seed, mesh_desc, metric_desc)
     report.update(
         {
-            "command": "solve",
             "kind": "newton",
             "parameters": {"tol": args.tol, "safety": args.safety},
-            "targets": [float(v) for v in targets],
-            "w0": [float(v) for v in w0],
             "status": "Converged" if solve.converged else "Failed",
             "w_star": [float(v) for v in solve.w_star],
             "iterations": solve.iterations,
@@ -318,94 +291,55 @@ def cmd_solve(args) -> int:
     if args.out_json:
         _write_json(args.out_json, report)
     print(
-        f"newton: {'Converged' if solve.converged else 'Failed'}, "
+        f"newton: {report['status']}, "
         f"iterations={solve.iterations}, residual={solve.final_residual:.3e}"
     )
     return code
 
 
-def _parse_param_list(text: str, name: str) -> list[float]:
+def _parse_param_list(text: str | None, name: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in (text or "").split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"{name}: expected a comma-separated list of numbers")
 
 
 def cmd_compare(args) -> int:
-    variants: list[tuple[str, float]] = []
     try:
-        if args.s is not None:
-            variants += [(FRACTIONAL_CALABI, v) for v in _parse_param_list(args.s, "--s")]
-        if args.p is not None:
-            variants += [(GENERALIZED_YAMABE, v) for v in _parse_param_list(args.p, "--p")]
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    if not variants:
-        return _fail(2, "compare needs at least one variant via --s or --p")
-
-    try:
-        tri, l0, seed, mesh_desc, metric_desc = _load_instance(args)
-        targets, w0 = _read_start(args, tri, l0, True)
+        variants = [(FRACTIONAL_CALABI, v) for v in _parse_param_list(args.s, "--s")]
+        variants += [(GENERALIZED_YAMABE, v) for v in _parse_param_list(args.p, "--p")]
+        if not variants:
+            raise ValueError("compare needs at least one variant via --s or --p")
+        tri, l0, targets, w0, report = _start(args, True)
+        specs = [_spec(args, targets, kind, value) for kind, value in variants]
     except ValueError as exc:
         return _fail(2, str(exc))
 
     rows = []
-    all_converged = True
-    for kind, value in variants:
-        try:
-            spec = FlowSpec(
-                kind=kind,
-                targets=targets,
-                s=value if kind == FRACTIONAL_CALABI else 0.0,
-                p=value if kind == GENERALIZED_YAMABE else 0.0,
-                step=args.step,
-                tol=args.tol,
-                t_max=args.t_max,
-                safety=args.safety,
-            )
-        except ValueError as exc:
-            return _fail(2, f"variant {kind} {value}: {exc}")
+    for spec, (kind, value) in zip(specs, variants):
         initial_speed = float(np.max(np.abs(vector_field(tri, l0, w0, spec))))
         run = _run_flow(tri, l0, w0, spec, f"variant {kind} {value}: flow")
         if run is None:
             return 1
-        fields = run[1]
-        if fields["status"] != CONVERGED:
-            all_converged = False
-        rows.append({"kind": kind, "param": value, **fields, "initial_speed": initial_speed})
+        rows.append({"kind": kind, "param": value, **run[1], "initial_speed": initial_speed})
 
-    columns = [
-        "kind",
-        "param",
-        "status",
-        "samples",
-        "decay_rate",
-        "decay_r_squared",
-        "final_residual",
-        "initial_speed",
-    ]
-    table_lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append("" if v is None else ("%.17g" % v if isinstance(v, float) else str(v)))
-        table_lines.append(",".join(cells))
+    header = "kind,param,status,samples,decay_rate,decay_r_squared,final_residual,initial_speed"
+
+    def cell(v) -> str:
+        return "" if v is None else ("%.17g" % v if isinstance(v, float) else str(v))
+
+    table_lines = [header] + [",".join(cell(row[c]) for c in header.split(",")) for row in rows]
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(table_lines) + "\n")
-    report = _base_report(args, tri, seed, mesh_desc, metric_desc)
     report.update(
         {
-            "command": "compare",
             "parameters": {
                 "step": args.step,
                 "tol": args.tol,
                 "t_max": args.t_max,
                 "safety": args.safety,
             },
-            "targets": [float(v) for v in targets],
-            "w0": [float(v) for v in w0],
             "variants": rows,
         }
     )
@@ -413,21 +347,7 @@ def cmd_compare(args) -> int:
         _write_json(args.out_json, report)
     for line in table_lines:
         print(line)
-    return 0 if all_converged else 1
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mesh", help="mesh file (JSON); omit to generate from --seed")
-    parser.add_argument("--metric", help="metric file (JSON array of edge lengths)")
-    parser.add_argument("--targets", help="target boundary lengths: inline list or JSON file")
-    parser.add_argument("--w0", help="initial conformal factor: inline list or JSON file")
-    parser.add_argument("--step", type=float, default=0.1, help="initial step size")
-    parser.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
-    parser.add_argument("--t-max", type=float, default=1e4, help="time budget")
-    parser.add_argument("--safety", type=float, default=1e-6, help="admissibility margin floor")
-    parser.add_argument("--out-csv", help="write trajectory or table CSV here")
-    parser.add_argument("--out-json", help="write report JSON here")
-    parser.add_argument("--seed", type=int, default=None, help="seed for random instances")
+    return 0 if all(row["status"] == CONVERGED for row in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,26 +355,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypflow",
         description="Prescribed-boundary-length hyperbolic metrics via combinatorial flows",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action="version", version=f"v{__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a mesh file against the invariants")
     p_val.add_argument("--mesh", required=True)
     p_val.set_defaults(func=cmd_validate)
 
-    p_flow = sub.add_parser("flow", help="integrate a flow and export the trajectory")
-    _add_common(p_flow)
+    # the options of flow, solve and compare, and those of the two that step a flow
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--mesh", help="mesh file (JSON); omit to generate from --seed")
+    common.add_argument("--metric", help="metric file (JSON array of edge lengths)")
+    common.add_argument("--targets", help="target boundary lengths: inline list or JSON file")
+    common.add_argument("--w0", help="initial conformal factor: inline list or JSON file")
+    common.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
+    common.add_argument("--safety", type=float, default=1e-6, help="admissibility margin floor")
+    common.add_argument("--out-json", help="write report JSON here")
+    common.add_argument("--seed", type=int, default=None, help="seed for random instances")
+    stepping = argparse.ArgumentParser(add_help=False)
+    stepping.add_argument("--step", type=float, default=0.1, help="initial step size")
+    stepping.add_argument("--t-max", type=float, default=1e4, help="time budget")
+    stepping.add_argument("--out-csv", help="write trajectory or table CSV here")
+
+    p_flow = sub.add_parser(
+        "flow", parents=[common, stepping], help="integrate a flow and export the trajectory"
+    )
     p_flow.add_argument("--kind", required=True, choices=list(KINDS))
     p_flow.add_argument("--s", type=float, default=None, help="fractional power (fractional-calabi)")
     p_flow.add_argument("--p", type=float, default=None, help="exponent in [0, 2) (generalized-yamabe)")
     p_flow.set_defaults(func=cmd_flow)
 
-    p_solve = sub.add_parser("solve", help="solve for w* directly with Newton")
-    _add_common(p_solve)
+    p_solve = sub.add_parser("solve", parents=[common], help="solve for w* directly with Newton")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_cmp = sub.add_parser("compare", help="run several flow variants from one start")
-    _add_common(p_cmp)
+    p_cmp = sub.add_parser(
+        "compare", parents=[common, stepping], help="run several flow variants from one start"
+    )
     p_cmp.add_argument("--s", default=None, help="comma list of fractional powers")
     p_cmp.add_argument("--p", default=None, help="comma list of exponents in [0, 2)")
     p_cmp.set_defaults(func=cmd_compare)

@@ -63,8 +63,8 @@ class Problem:
     """A triangulation with a base metric, checked once, for repeated evaluation.
 
     The methods trust their factors to be finite with trailing dimension n
-    (see `check_factor`).  Every evaluation raises InadmissibleFactor unless
-    each margin is > 0 and >= `safety`, and NonFinite when a length exceeds
+    (see `check_factor`).  Every evaluation passes its factor through
+    `check_margin(w, safety)`, and raises NonFinite when a length exceeds
     hexagon.SIDE_LIMIT or a boundary length or h overflows.  The private
     methods leave overflow warnings to their callers to silence.
     """
@@ -96,14 +96,10 @@ class Problem:
         """Per-edge margins, shape (..., |E|); w is admissible iff all are > 0."""
         return w[..., self._i] + w[..., self._j] + self._log_cosh_half
 
-    def _lengths(self, w, safety: float) -> np.ndarray:
-        """Deformed edge lengths, shape (..., |E|).
-
-        Raises InadmissibleFactor (carrying the offending edge index) unless
-        every margin is > 0 and >= safety; for a batch, the first offending
-        edge of the first offending state.  Raises NonFinite when a length
-        exceeds hexagon.SIDE_LIMIT.
-        """
+    def check_margin(self, w, safety: float = 0.0) -> np.ndarray:
+        """margin(w); InadmissibleFactor, carrying the offending edge index,
+        unless every margin is > 0 and >= safety.  For a batch, names the
+        first offending edge of the first offending state."""
         margin = self.margin(w)
         low = margin.min()
         if not (low > 0.0 and low >= safety):
@@ -115,10 +111,15 @@ class Problem:
                 f"admissibility violated on edge {edge} (margin {flat[state][edge]:.3e})",
                 edge_index=edge,
             )
+        return margin
+
+    def _lengths(self, w, safety: float) -> np.ndarray:
+        """Deformed edge lengths, shape (..., |E|), of a factor that passes
+        check_margin(w, safety); NonFinite when one exceeds hexagon.SIDE_LIMIT."""
         # l = 2 arccosh(e^margin); expm1 keeps precision for margins near 0.
         # Overflow is legal input here (flow trial steps probe far states), so
         # callers silence the warning and the check below signals it.
-        lengths = 2.0 * arccosh1p(np.expm1(margin))
+        lengths = 2.0 * arccosh1p(np.expm1(self.check_margin(w, safety)))
         if not lengths.max() <= SIDE_LIMIT:
             raise NonFinite(f"deformed length {lengths.max():.6g} exceeds {SIDE_LIMIT:.6g}")
         return lengths

@@ -20,7 +20,7 @@ psi(w) - psi(w*) is always evaluated as one line integral from w* to w,
 never as a difference of two potentials: near w* both potentials are O(1)
 while the gap is O(|w - w*|^2), and the subtraction would drown it in
 rounding noise.  The line integrals stop when two quadrature levels agree,
-so a budget of zero refinements (one level) always raises QuadratureStall.
+and raise QuadratureStall when MAX_REFINEMENTS doublings never do.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conformal import Problem
-from .errors import InadmissibleFactor, QuadratureStall
+from .errors import QuadratureStall
 from .triangulation import IdealTriangulation
 
 GL_POINTS = 16
@@ -51,42 +51,23 @@ def _panel_nodes(levels: tuple[int, ...]) -> np.ndarray:
     return np.concatenate([((np.arange(2**k) / 2**k)[:, None] + x / 2**k).ravel() for k in levels])
 
 
-def _require_admissible(problem: Problem, w, label: str) -> np.ndarray:
-    w = problem.check_factor(w)
-    margin = problem.margin(w)
-    if np.any(margin <= 0.0):
-        edge = int(np.argmax(margin <= 0.0))
-        raise InadmissibleFactor(f"{label} is inadmissible on edge {edge}", edge_index=edge)
-    return w
-
-
-def segment_flux(
-    tri: IdealTriangulation,
-    l0,
-    start,
-    end,
-    targets=None,
-    rtol: float = 1e-10,
-    max_refinements: int = MAX_REFINEMENTS,
-) -> float:
+def segment_flux(tri: IdealTriangulation, l0, start, end, targets=None, rtol=1e-10) -> float:
     """int_0^1 (targets - B(start + u (end - start))) . (end - start) du.
 
     With targets = 0 this is the potential increment phi(end) - phi(start);
     with targets = b it is psi(end) - psi(start).  Composite Gauss-Legendre
     on 2^k panels, doubling k until two levels agree to rtol (relative,
-    floored at magnitude 1).  Levels 0 and 1, where nearly every segment
-    stops, are one batch; max_refinements=0 evaluates level 0 alone and so
-    always raises QuadratureStall.
+    floored at magnitude 1) within MAX_REFINEMENTS doublings.  Levels 0 and
+    1, where nearly every segment stops, are one batch.
     """
     problem = Problem(tri, l0)
-    start = _require_admissible(problem, start, "segment start")
-    end = _require_admissible(problem, end, "segment end")
-    return _segment_flux(problem, start, end, targets, rtol, max_refinements)
+    start, end = problem.check_factor(start), problem.check_factor(end)
+    problem.check_margin(start)
+    problem.check_margin(end)
+    return _segment_flux(problem, start, end, targets, rtol)
 
 
-def _segment_flux(
-    problem: Problem, start, end, targets=None, rtol=1e-10, max_refinements=MAX_REFINEMENTS
-) -> float:
+def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10) -> float:
     """segment_flux on a checked problem, between two admissible factors."""
     delta = end - start
     if not delta.any():
@@ -101,16 +82,14 @@ def _segment_flux(
         panels = 2**level
         return float((level_flux.reshape(panels, -1) @ _gl_nodes(GL_POINTS)[1]).sum() / panels)
 
-    first = flux((0, 1) if max_refinements > 0 else (0,))
+    first = flux((0, 1))
     prev = total(first[:GL_POINTS], 0)
-    for level in range(1, max_refinements + 1):
+    for level in range(1, MAX_REFINEMENTS + 1):
         current = total(first[GL_POINTS:] if level == 1 else flux((level,)), level)
         if abs(current - prev) <= rtol * max(1.0, abs(current)):
             return current
         prev = current
-    raise QuadratureStall(
-        f"no agreement to rtol={rtol} after {max_refinements} refinements"
-    )
+    raise QuadratureStall(f"no agreement to rtol={rtol} after {MAX_REFINEMENTS} refinements")
 
 
 def c_value(B, targets) -> float:

@@ -15,7 +15,14 @@ any stage or the result drops an admissibility margin below `safety`, when a
 kernel leaves double range, or when the flow's Lyapunov value would increase
 (lambda for fractional-calabi, xi for generalized-yamabe, none for guo).
 After five consecutive accepts the step grows by 1.5x, capped at its initial
-value.  Lyapunov values are tracked incrementally: the psi part of each
+value.  For fractional-calabi with s != 0 each step is also capped at
+RK4_STABLE / lambda_max^(s+1), lambda_max the largest eigenvalue of -L at the
+step's start: the field linearizes to -Delta^(s+1), and RK4 is stable on the
+negative real axis up to h lambda = 2.785 (Hairer & Wanner, Solving ODEs II,
+IV.2).  A step past that bound can jump into a region where B collapses and
+the field vanishes, stranding the run far from w*.
+
+Lyapunov values are tracked incrementally: the psi part of each
 increment is a line integral over the step segment (short, and by convexity
 at least `safety` away from the admissible boundary, so the quadrature is
 effectively exact), which keeps the recorded energies meaningful down to the
@@ -57,6 +64,7 @@ TIME_BUDGET_EXHAUSTED = "TimeBudgetExhausted"
 GUARD_TRIGGERED = "GuardTriggered"
 
 STEP_FLOOR = 1e-12
+RK4_STABLE = 2.5  # below RK4's real stability bound 2.785, with margin
 GROW_AFTER = 5
 GROW_FACTOR = 1.5
 
@@ -107,21 +115,24 @@ def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
 
 
 def _field(problem: Problem, w, spec: FlowSpec, safety: float = 0.0):
-    """(dw/dt, B) at w; InadmissibleFactor if a margin is below safety.
-    Callers silence overflow warnings, as for Problem's private methods."""
+    """(dw/dt, B, largest stable step) at w; InadmissibleFactor if a margin is
+    below safety.  The step bound is RK4_STABLE / lambda_max^(s+1) for
+    fractional-calabi with s != 0, inf otherwise.  Callers silence overflow
+    warnings, as for Problem's private methods."""
     if spec.kind == FRACTIONAL_CALABI and spec.s != 0.0:
         B, L = problem._evaluate(w, safety)
-        return _power(L, spec.s)[0] @ (B - spec.targets), B
+        power, lam, _ = _power(L, spec.s)
+        return power @ (B - spec.targets), B, RK4_STABLE / lam[-1] ** (spec.s + 1.0)
     B = problem._boundary(w, safety)[0]
     if spec.kind == GUO:
-        return B, B
+        return B, B, np.inf
     diff = B - spec.targets
     if spec.kind == FRACTIONAL_CALABI:
         # the zero power is the identity; skipping the eigensolver keeps
         # the s = 0 field exact
-        return diff, B
+        return diff, B, np.inf
     g = ((2.0 - spec.p) * B + spec.p * spec.targets) / B ** (spec.p + 1.0)
-    return g * diff, B
+    return g * diff, B, np.inf
 
 
 @dataclass
@@ -166,9 +177,9 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     """Run the flow from w0 until tolerance, time budget, or guard failure.
 
     Raises StepCollapse (carrying the partial trajectory, status
-    GuardTriggered) if halving pushes the step below 1e-12.  The
-    target-seeking flows solve for w* once up front to anchor the recorded
-    Lyapunov values; solver failures propagate.
+    GuardTriggered) if halving or the stability cap pushes the step below
+    1e-12.  The target-seeking flows solve for w* once up front to anchor
+    the recorded Lyapunov values; solver failures propagate.
     """
     problem = Problem(tri, l0)
     w = problem.check_factor(w0).copy()
@@ -177,23 +188,13 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     if targets.shape != (n,):
         raise ValueError(f"targets must have shape ({n},), got {targets.shape}")
 
-    margins = problem.margin(w)
-    if np.min(margins) < spec.safety:
-        edge = int(np.argmin(margins))
-        raise InadmissibleFactor(
-            f"initial factor margin {margins[edge]:.3e} on edge {edge} is below safety",
-            edge_index=edge,
-        )
-
-    B = problem.boundary_lengths(w)
+    B = problem.boundary_lengths(w, spec.safety)
     residual = float(np.abs(B - targets).max())
 
     track_lyapunov = spec.kind != GUO
     if track_lyapunov:
         energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
-        w_star = _solve(
-            problem, targets, np.zeros(n), tol=1e-10, max_iterations=200, safety=1e-6
-        ).w_star
+        w_star = _solve(problem, targets, np.zeros(n), tol=1e-10, safety=1e-6).w_star
         last_penalty = _penalty(B, spec, targets)
         energy = _segment_flux(problem, w_star, w, targets) + last_penalty
     else:
@@ -229,8 +230,9 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
 
     # trial states may overflow the kernels, which check for it themselves
     with np.errstate(over="ignore"):
-        # k1 is the field at w: computed once at the start, then carried over
-        # from the last stage of each accepted step (first same as last)
+        # k1 and the stable step bound at w are computed once at the start,
+        # then carried over from the last stage of each accepted step (first
+        # same as last)
         k1 = None
         while status is None:
             if spec.t_max - t < STEP_FLOOR:
@@ -240,13 +242,19 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
 
             try:
                 if k1 is None:
-                    k1 = _field(problem, w, spec)[0]
+                    k1, _, h_stable = _field(problem, w, spec)
+                h_try = min(h_try, h_stable)
+                if h_try < STEP_FLOOR:
+                    raise StepCollapse(
+                        f"stable step {h_try:.3e} is below {STEP_FLOOR} at t = {t:.6g}",
+                        trajectory=build(GUARD_TRIGGERED),
+                    )
                 # a stage below the safety floor raises InadmissibleFactor
                 k2 = _field(problem, w + 0.5 * h_try * k1, spec, spec.safety)[0]
                 k3 = _field(problem, w + 0.5 * h_try * k2, spec, spec.safety)[0]
                 k4 = _field(problem, w + h_try * k3, spec, spec.safety)[0]
                 w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k_new, B_new = _field(problem, w_new, spec, spec.safety)
+                k_new, B_new, h_new = _field(problem, w_new, spec, spec.safety)
             except (InadmissibleFactor, NonFinite, EigSolveFailure):
                 accept = False
             else:
@@ -273,7 +281,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                     )
                 continue
 
-            w, B, k1 = w_new, B_new, k_new
+            w, B, k1, h_stable = w_new, B_new, k_new, h_new
             t += h_try
             energy = energy + delta_energy
             if track_lyapunov:
@@ -338,19 +346,11 @@ def decay_rate(traj: Trajectory) -> DecayFit:
     return DecayFit(rate=-float(slope), r_squared=1.0 - ss_res / ss_tot, n_samples=len(t_tail))
 
 
-def csv_header(n: int) -> str:
-    parts = ["t"]
-    parts += [f"w_{i + 1}" for i in range(n)]
-    parts += [f"B_{i + 1}" for i in range(n)]
-    parts += ["residual", "energy"]
-    return ",".join(parts)
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per sample, 17 significant digits (lossless doubles)."""
-    n = traj.ws.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_header(n) + "\n")
-        for k in range(traj.n_samples):
-            row = [traj.ts[k], *traj.ws[k], *traj.Bs[k], traj.residuals[k], traj.energies[k]]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    """Header t,w_1..w_n,B_1..B_n,residual,energy, then one row per sample
+    with 17 significant digits (lossless doubles)."""
+    ids = range(1, traj.ws.shape[1] + 1)
+    header = ",".join(["t", *(f"w_{i}" for i in ids), *(f"B_{i}" for i in ids),
+                       "residual", "energy"])
+    rows = np.column_stack([traj.ts, traj.ws, traj.Bs, traj.residuals, traj.energies])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")

@@ -116,13 +116,9 @@ def random_instance(
         return tri, l0
 
 
-def random_admissible_factor(
-    rng: np.random.Generator, tri: IdealTriangulation, l0, spread: float = 0.6
-) -> np.ndarray:
-    """A factor drawn from a box that keeps every margin positive.
-
-    Pair sums stay above -0.9 mu where mu is the smallest ln cosh(l0/2), so
-    margins stay at or above 0.1 mu.
-    """
+def random_admissible_factor(rng: np.random.Generator, tri: IdealTriangulation, l0) -> np.ndarray:
+    """A factor drawn uniformly from [-0.45 mu, 0.6]^n, mu the smallest
+    ln cosh(l0/2): pair sums stay above -0.9 mu, so margins stay at or above
+    0.1 mu."""
     mu = float(np.min(log_cosh_half(np.asarray(l0, dtype=float))))
-    return rng.uniform(-0.45 * mu, spread, size=tri.n_boundaries)
+    return rng.uniform(-0.45 * mu, 0.6, size=tri.n_boundaries)

@@ -22,6 +22,7 @@ from .triangulation import IdealTriangulation
 
 ARMIJO = 1e-4
 ALPHA_FLOOR = 1e-12
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,12 @@ def solve_prescribed(
     targets,
     w_init=None,
     tol: float = 1e-8,
-    max_iterations: int = 200,
     safety: float = 1e-6,
 ) -> SolveReport:
     """Solve B(w*) = targets by damped Newton descent on psi.
 
     Raises MaxIterations or LineSearchFailure (both carrying the partial
-    report) when the iteration or the backtracking stalls; raises
+    report) when MAX_ITERATIONS pass or the backtracking stalls; raises
     EigSolveFailure if the Hessian factorization fails, which signals that
     the iterate left the region where -L is trustworthy.
     """
@@ -64,18 +64,18 @@ def solve_prescribed(
         raise ValueError("tol must be positive and finite, safety non-negative and finite")
     problem = Problem(tri, l0)
     w = np.zeros(n) if w_init is None else problem.check_factor(w_init).copy()
-    return _solve(problem, targets, w, tol, max_iterations, safety)
+    return _solve(problem, targets, w, tol, safety)
 
 
-def _solve(problem: Problem, targets, w, tol, max_iterations, safety) -> SolveReport:
+def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
     """solve_prescribed on a checked problem, targets and start."""
     B, L = problem.evaluate(w)
     residual = float(np.max(np.abs(B - targets)))
     iterations = 0
     while residual >= tol:
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             raise MaxIterations(
-                f"no convergence after {max_iterations} iterations (residual {residual:.3e})",
+                f"no convergence after {MAX_ITERATIONS} iterations (residual {residual:.3e})",
                 report=SolveReport(w, iterations, residual, False),
             )
         try:
@@ -89,14 +89,13 @@ def _solve(problem: Problem, targets, w, tol, max_iterations, safety) -> SolveRe
         while True:
             w_try = w + alpha * step
             try:
-                if (np.min(problem.margin(w_try)) >= safety
-                        and _segment_flux(problem, w, w_try, targets, rtol=1e-12)
-                        <= ARMIJO * alpha * slope):
+                # with safety 0, a margin at a quadrature node can round to
+                # exactly 0; that trial is rejected like one below the floor
+                problem.check_margin(w_try, safety)
+                if _segment_flux(problem, w, w_try, targets, rtol=1e-12) <= ARMIJO * alpha * slope:
                     B, L = problem.evaluate(w_try)
                     break
             except InadmissibleFactor:
-                # with safety 0, a margin at a quadrature node or at w_try
-                # can round to exactly 0; that trial is rejected like any other
                 pass
             alpha *= 0.5
             if alpha < ALPHA_FLOOR:

@@ -123,11 +123,12 @@ def test_flow_usage_errors(pants_mesh):
 
 
 def test_flow_stall_reports_no_rate(tmp_path, capsys):
-    # this run strands near residual 1; a rate fitted to its flat tail
-    # would read as a clean exponential decay
+    # by t = 20 this run's residual (0.025) has fallen by less than one e-fold
+    # over the fitted tail; a rate fitted there would read as a clean
+    # exponential decay
     json_path = tmp_path / "stall.json"
     rc = main(["flow", "--seed", "0", "--kind", "fractional-calabi", "--s", "1",
-               "--targets", "1", "--t-max", "20", "--out-json", str(json_path)])
+               "--targets", "0.1", "--t-max", "20", "--out-json", str(json_path)])
     assert rc == 1
     assert "rate=" not in capsys.readouterr().out
     report = json.loads(json_path.read_text())
@@ -240,6 +241,43 @@ def test_solve_zero_safety_stops_early(capsys):
     # usage-error code
     assert main(["solve", "--seed", "0", "--targets", "60", "--safety", "0"]) == 1
     assert "solver stopped early: backtracking stalled" in capsys.readouterr().err
+
+
+def test_solve_rejects_flow_options(pants_mesh, tmp_path):
+    # solve has no trajectory, step or time budget; these options used to be
+    # accepted and ignored, so --out-csv silently wrote nothing
+    csv_path = tmp_path / "x.csv"
+    for option in (["--out-csv", str(csv_path)], ["--step", "7"], ["--t-max", "3"]):
+        assert main(["solve", "--mesh", pants_mesh, "--targets", "1", *option]) == 2
+    assert not csv_path.exists()
+
+
+SHARED_KEYS = ["version", "seed", "mesh", "metric", "n_boundaries", "n_edges", "n_faces",
+               "command", "targets", "w0", "parameters"]
+RUN_KEYS = ["status", "samples", "accepted_steps", "rejected_steps", "final_residual",
+            "final_w", "decay_rate", "decay_r_squared"]
+REPORT_KEYS = {
+    "flow": SHARED_KEYS + RUN_KEYS + ["kind", "final_t", "final_B", "energy_kind",
+                                      "wall_time_s"],
+    "solve": SHARED_KEYS + ["kind", "status", "w_star", "iterations", "final_residual",
+                            "wall_time_s"],
+    "compare": SHARED_KEYS + ["variants"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--kind", "fractional-calabi", "--s", "1"],
+    ["solve"],
+    ["compare", "--s=0", "--p=1"],
+])
+def test_report_keys_are_pinned(pants_mesh, tmp_path, argv):
+    json_path = tmp_path / "report.json"
+    assert main([*argv, "--mesh", pants_mesh, "--targets", "1",
+                 "--out-json", str(json_path)]) == 0
+    report = json.loads(json_path.read_text())
+    assert sorted(report) == sorted(REPORT_KEYS[argv[0]])
+    for row in report.get("variants", []):
+        assert sorted(row) == sorted(["kind", "param", *RUN_KEYS, "initial_speed"])
 
 
 def test_compare_variants(pants_mesh, tmp_path):

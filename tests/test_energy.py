@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypflow import instances
+from hypflow import energy, instances
 from hypflow.conformal import boundary_lengths
 from hypflow.energy import c_value, segment_flux, upsilon_value
 from hypflow.errors import InadmissibleFactor, QuadratureStall
@@ -144,11 +144,11 @@ def test_segment_flux_validates_endpoints(pants, symmetric_l0):
         segment_flux(pants, symmetric_l0, np.full(3, -1.0), np.zeros(3))
 
 
-def test_quadrature_stall_is_detectable(pants, symmetric_l0):
+def test_quadrature_stall_is_detectable(pants, symmetric_l0, monkeypatch):
     # a budget of zero refinements never produces two agreeing levels
+    monkeypatch.setattr(energy, "MAX_REFINEMENTS", 0)
     with pytest.raises(QuadratureStall):
-        segment_flux(pants, symmetric_l0, np.zeros(3), np.array([0.5, 0.4, 0.3]),
-                     max_refinements=0)
+        segment_flux(pants, symmetric_l0, np.zeros(3), np.array([0.5, 0.4, 0.3]))
 
 
 def _level_by_level_flux(tri, l0, start, end, targets, rtol):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypflow import instances
+from hypflow import instances, newton
 from hypflow.conformal import admissibility_margin, boundary_lengths
 from hypflow.errors import LineSearchFailure, MaxIterations
 from hypflow.newton import solve_prescribed
@@ -70,9 +70,10 @@ def test_solution_is_admissible(pants, symmetric_l0):
     assert np.all(admissibility_margin(pants, symmetric_l0, report.w_star) > 0)
 
 
-def test_max_iterations_carries_partial_report(pants, symmetric_l0):
+def test_max_iterations_carries_partial_report(pants, symmetric_l0, monkeypatch):
+    monkeypatch.setattr(newton, "MAX_ITERATIONS", 1)
     with pytest.raises(MaxIterations) as exc:
-        solve_prescribed(pants, symmetric_l0, np.full(3, 5.0), max_iterations=1)
+        solve_prescribed(pants, symmetric_l0, np.full(3, 5.0))
     report = exc.value.report
     assert not report.converged
     assert report.iterations == 1
