@@ -218,6 +218,8 @@ def cmd_flow(args) -> int:
             raise ValueError("--s only applies to --kind fractional-calabi")
         if args.p is not None and args.kind != GENERALIZED_YAMABE:
             raise ValueError("--p only applies to --kind generalized-yamabe")
+        if args.targets is not None and args.kind == GUO:
+            raise ValueError("--targets does not apply to --kind guo")
         tri, l0, targets, w0, report = _start(args, args.kind != GUO)
         spec = _spec(args, targets, args.kind, args.p if args.s is None else args.s)
     except ValueError as exc:
@@ -317,10 +319,11 @@ def cmd_compare(args) -> int:
 
     rows = []
     for spec, (kind, value) in zip(specs, variants):
-        initial_speed = float(np.max(np.abs(vector_field(tri, l0, w0, spec))))
         run = _run_flow(tri, l0, w0, spec, f"variant {kind} {value}: flow")
         if run is None:
             return 1
+        # the field at w0 is sound once the flow has started from it
+        initial_speed = float(np.max(np.abs(vector_field(tri, l0, w0, spec))))
         rows.append({"kind": kind, "param": value, **run[1], "initial_speed": initial_speed})
 
     header = "kind,param,status,samples,decay_rate,decay_r_squared,final_residual,initial_speed"

@@ -10,6 +10,9 @@ The two target-seeking flows converge to the unique w* with B(w*) = b; the
 guo flow drives every boundary length toward zero, so it only stops on the
 tolerance or the time budget.
 
+Guo's field is the s = 0 field with b = 0, and its potential phi is psi at
+b = 0, so all three run through one integrator with guo's targets set to 0.
+
 Integration is classical RK4 with step halving.  A proposal is rejected when
 any stage or the result drops an admissibility margin below `safety`, when a
 kernel leaves double range, or when the flow's Lyapunov value would increase
@@ -29,10 +32,10 @@ effectively exact), which keeps the recorded energies meaningful down to the
 convergence floor where differencing two absolute potentials would return
 pure rounding noise.
 
-The recorded energy is the flow's own Lyapunov value (the potential for
-guo), anchored at the critical point w* found by the Newton solver; the
-rejection test itself only uses increments and never consults w*, so the
-flow dynamics stay independent of the solver.
+The recorded energy is the flow's own Lyapunov value, anchored at the
+critical point w* found by the Newton solver (for guo, the potential phi
+anchored at w = 0); the rejection test itself only uses increments and never
+consults w*, so the flow dynamics stay independent of the solver.
 """
 
 from __future__ import annotations
@@ -110,29 +113,29 @@ class FlowSpec:
 def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
     """dw/dt at the factor w."""
     problem = Problem(tri, l0)
+    targets = _effective_targets(tri.n_boundaries, spec)
     with np.errstate(over="ignore"):
-        return _field(problem, problem.check_factor(w), spec)[0]
+        return _field(problem, problem.check_factor(w), spec, targets)[0]
 
 
-def _field(problem: Problem, w, spec: FlowSpec, safety: float = 0.0):
+def _field(problem: Problem, w, spec: FlowSpec, targets, safety: float = 0.0):
     """(dw/dt, B, largest stable step) at w; InadmissibleFactor if a margin is
-    below safety.  The step bound is RK4_STABLE / lambda_max^(s+1) for
-    fractional-calabi with s != 0, inf otherwise.  Callers silence overflow
-    warnings, as for Problem's private methods."""
+    below safety.  targets are the effective ones (zeros for guo, whose
+    field B is the s = 0 field).  The step bound is RK4_STABLE /
+    lambda_max^(s+1) for fractional-calabi with s != 0, inf otherwise.
+    Callers silence overflow warnings, as for Problem's private methods."""
     if spec.kind == FRACTIONAL_CALABI and spec.s != 0.0:
         B, L = problem._evaluate(w, safety)
         power, lam, _ = _power(L, spec.s)
-        return power @ (B - spec.targets), B, RK4_STABLE / lam[-1] ** (spec.s + 1.0)
+        return power @ (B - targets), B, RK4_STABLE / lam[-1] ** (spec.s + 1.0)
     B = problem._boundary(w, safety)[0]
-    if spec.kind == GUO:
-        return B, B, np.inf
-    diff = B - spec.targets
-    if spec.kind == FRACTIONAL_CALABI:
-        # the zero power is the identity; skipping the eigensolver keeps
-        # the s = 0 field exact
-        return diff, B, np.inf
-    g = ((2.0 - spec.p) * B + spec.p * spec.targets) / B ** (spec.p + 1.0)
-    return g * diff, B, np.inf
+    diff = B - targets
+    if spec.kind == GENERALIZED_YAMABE:
+        g = ((2.0 - spec.p) * B + spec.p * targets) / B ** (spec.p + 1.0)
+        return g * diff, B, np.inf
+    # the zero power is the identity; skipping the eigensolver keeps the
+    # s = 0 field exact
+    return diff, B, np.inf
 
 
 @dataclass
@@ -162,12 +165,14 @@ class Trajectory:
 
 
 def _effective_targets(n: int, spec: FlowSpec) -> np.ndarray:
-    if spec.kind == GUO:
-        return np.zeros(n)
-    return spec.targets
+    """b, or zeros for guo: its field and potential are those at b = 0."""
+    return np.zeros(n) if spec.kind == GUO else spec.targets
 
 
 def _penalty(B, spec: FlowSpec, targets) -> float:
+    """The Lyapunov value's penalty term: C or Y, and 0 for guo."""
+    if spec.kind == GUO:
+        return 0.0
     if spec.kind == GENERALIZED_YAMABE:
         return upsilon_value(B, targets, spec.p)
     return c_value(B, targets)
@@ -178,120 +183,78 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
 
     Raises StepCollapse (carrying the partial trajectory, status
     GuardTriggered) if halving or the stability cap pushes the step below
-    1e-12.  The target-seeking flows solve for w* once up front to anchor
-    the recorded Lyapunov values; solver failures propagate.
+    1e-12.  The field is evaluated at w0 once, before anything else: a start
+    below `safety` raises InadmissibleFactor, and a field that fails there
+    (NonFinite, EigSolveFailure) propagates.  The target-seeking flows then
+    solve for w* once to anchor the recorded Lyapunov values; solver
+    failures propagate.
     """
     problem = Problem(tri, l0)
-    w = problem.check_factor(w0).copy()
+    w = problem.check_factor(w0)
     n = tri.n_boundaries
     targets = _effective_targets(n, spec)
     if targets.shape != (n,):
         raise ValueError(f"targets must have shape ({n},), got {targets.shape}")
 
-    B = problem.boundary_lengths(w, spec.safety)
-    residual = float(np.abs(B - targets).max())
-
-    track_lyapunov = spec.kind != GUO
-    if track_lyapunov:
-        energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
-        w_star = _solve(problem, targets, np.zeros(n), tol=1e-10, safety=1e-6).w_star
-        last_penalty = _penalty(B, spec, targets)
-        energy = _segment_flux(problem, w_star, w, targets) + last_penalty
-    else:
-        energy_kind = "phi"
-        w_star = None
-        energy = _segment_flux(problem, np.zeros(n), w)
-
-    # w and B are never modified in place, so the lists hold them uncopied
-    ts = [0.0]
-    ws = [w]
-    Bs = [B]
-    residuals = [residual]
-    energies = [energy]
-    accepted = rejected = consecutive = 0
-    h = spec.step
-    t = 0.0
-    status = CONVERGED if residual < spec.tol else None
-
-    def build(final_status: str) -> Trajectory:
-        return Trajectory(
-            spec=spec,
-            ts=np.asarray(ts),
-            ws=np.asarray(ws),
-            Bs=np.asarray(Bs),
-            residuals=np.asarray(residuals),
-            energies=np.asarray(energies),
-            status=final_status,
-            energy_kind=energy_kind,
-            w_star=w_star,
-            accepted_steps=accepted,
-            rejected_steps=rejected,
-        )
-
     # trial states may overflow the kernels, which check for it themselves
     with np.errstate(over="ignore"):
-        # k1 and the stable step bound at w are computed once at the start,
-        # then carried over from the last stage of each accepted step (first
-        # same as last)
-        k1 = None
+        # k1 and the stable step bound at w are carried over from the last
+        # stage of each accepted step (first same as last)
+        k1, B, h_stable = _field(problem, w, spec, targets, spec.safety)
+        if spec.kind == GUO:
+            energy_kind, w_star, anchor = "phi", None, np.zeros(n)
+        else:
+            energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
+            w_star = anchor = _solve(problem, targets, np.zeros(n), tol=1e-10, safety=1e-6).w_star
+        penalty = _penalty(B, spec, targets)
+        energy = _segment_flux(problem, anchor, w, targets) + penalty
+        residual = float(np.abs(B - targets).max())
+        # (t, w, B, residual, energy) per sample; w and B are never modified
+        # in place, so they are held uncopied
+        samples = [(0.0, w, B, residual, energy)]
+        accepted = rejected = consecutive = 0
+        h = spec.step
+        t = 0.0
+        status = CONVERGED if residual < spec.tol else None
         while status is None:
             if spec.t_max - t < STEP_FLOOR:
                 status = TIME_BUDGET_EXHAUSTED
                 break
-            h_try = min(h, spec.t_max - t)
+            h_try = min(h, spec.t_max - t, h_stable)
+            if h_try < STEP_FLOOR:
+                status = GUARD_TRIGGERED
+                break
 
             try:
-                if k1 is None:
-                    k1, _, h_stable = _field(problem, w, spec)
-                h_try = min(h_try, h_stable)
-                if h_try < STEP_FLOOR:
-                    raise StepCollapse(
-                        f"stable step {h_try:.3e} is below {STEP_FLOOR} at t = {t:.6g}",
-                        trajectory=build(GUARD_TRIGGERED),
-                    )
                 # a stage below the safety floor raises InadmissibleFactor
-                k2 = _field(problem, w + 0.5 * h_try * k1, spec, spec.safety)[0]
-                k3 = _field(problem, w + 0.5 * h_try * k2, spec, spec.safety)[0]
-                k4 = _field(problem, w + h_try * k3, spec, spec.safety)[0]
+                k2 = _field(problem, w + 0.5 * h_try * k1, spec, targets, spec.safety)[0]
+                k3 = _field(problem, w + 0.5 * h_try * k2, spec, targets, spec.safety)[0]
+                k4 = _field(problem, w + h_try * k3, spec, targets, spec.safety)[0]
                 w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k_new, B_new, h_new = _field(problem, w_new, spec, spec.safety)
+                k_new, B_new, h_new = _field(problem, w_new, spec, targets, spec.safety)
             except (InadmissibleFactor, NonFinite, EigSolveFailure):
                 accept = False
             else:
-                accept = True
-                # targets are zero for guo, so this is the phi increment there
-                delta_energy = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
-                if track_lyapunov:
-                    penalty_new = _penalty(B_new, spec, targets)
-                    # lyapunov change over the step; reject any increase, and
-                    # record the energy with this exact quantity so the stored
-                    # sequence is non-increasing in float arithmetic too
-                    delta_energy = delta_energy + penalty_new - last_penalty
-                    if delta_energy > 0.0:
-                        accept = False
+                # Lyapunov change over the step (the phi increment for guo);
+                # the target-seeking flows reject any increase, and the energy
+                # is recorded with this exact quantity so the stored sequence
+                # is non-increasing in float arithmetic too
+                penalty_new = _penalty(B_new, spec, targets)
+                delta_energy = (_segment_flux(problem, w, w_new, targets, rtol=1e-12)
+                                + penalty_new - penalty)
+                accept = spec.kind == GUO or not delta_energy > 0.0
 
             if not accept:
                 rejected += 1
                 consecutive = 0
                 h = h_try / 2.0
-                if h < STEP_FLOOR:
-                    raise StepCollapse(
-                        f"step collapsed below {STEP_FLOOR} at t = {t:.6g}",
-                        trajectory=build(GUARD_TRIGGERED),
-                    )
                 continue
 
-            w, B, k1, h_stable = w_new, B_new, k_new, h_new
+            w, B, k1, h_stable, penalty = w_new, B_new, k_new, h_new, penalty_new
             t += h_try
             energy = energy + delta_energy
-            if track_lyapunov:
-                last_penalty = penalty_new
             residual = float(np.abs(B - targets).max())
-            ts.append(t)
-            ws.append(w)
-            Bs.append(B)
-            residuals.append(residual)
-            energies.append(energy)
+            samples.append((t, w, B, residual, energy))
             accepted += 1
             consecutive += 1
             if consecutive >= GROW_AFTER:
@@ -300,7 +263,14 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             if residual < spec.tol:
                 status = CONVERGED
 
-    return build(status)
+    ts, ws, Bs, residuals, energies = (np.asarray(series) for series in zip(*samples))
+    traj = Trajectory(spec=spec, ts=ts, ws=ws, Bs=Bs, residuals=residuals, energies=energies,
+                      status=status, energy_kind=energy_kind, w_star=w_star,
+                      accepted_steps=accepted, rejected_steps=rejected)
+    if status == GUARD_TRIGGERED:
+        cause = f"stable step {h_try:.3e} is" if h_try == h_stable else "step collapsed"
+        raise StepCollapse(f"{cause} below {STEP_FLOOR} at t = {t:.6g}", trajectory=traj)
+    return traj
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,6 @@ class SolveReport:
     final_residual: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "w_star": [float(v) for v in self.w_star],
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-        }
-
 
 def solve_prescribed(
     tri: IdealTriangulation,

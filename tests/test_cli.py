@@ -113,13 +113,25 @@ def test_flow_usage_errors(pants_mesh):
     # p only applies to generalized-yamabe
     assert main(["flow", "--mesh", pants_mesh, "--kind", "fractional-calabi",
                  "--p", "1", "--targets", "1,1,1"]) == 2
-    # target flows need targets
+    # target flows need targets, and guo takes none
     assert main(["flow", "--mesh", pants_mesh, "--kind", "fractional-calabi"]) == 2
+    assert main(["flow", "--mesh", pants_mesh, "--kind", "guo", "--targets", "garbage"]) == 2
     # inadmissible start
     assert main(["flow", "--mesh", pants_mesh, "--kind", "guo",
                  "--w0", "-0.35,-0.35,-0.35"]) == 2
     # unknown kind is an argparse error
     assert main(["flow", "--mesh", pants_mesh, "--kind", "ricci"]) == 2
+
+
+def test_field_failure_at_start_is_reported(pants_mesh, capsys):
+    # the s = 1 field overflows the hexagon invariant at w = 60; flow used to
+    # report a step collapse at t = 0, and compare a NonFinite traceback
+    assert main(["flow", "--mesh", pants_mesh, "--kind", "fractional-calabi", "--s", "1",
+                 "--targets", "1", "--w0", "60"]) == 1
+    assert "error: flow failed: hexagon invariant overflowed" in capsys.readouterr().err
+    assert main(["compare", "--seed", "0", "--targets", "1", "--s=1", "--w0", "60"]) == 1
+    assert capsys.readouterr().err == (
+        "error: variant fractional-calabi 1.0: flow failed: hexagon invariant overflowed\n")
 
 
 def test_flow_stall_reports_no_rate(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from hypflow import flows, instances
 from hypflow.conformal import Problem, admissibility_margin, boundary_lengths
-from hypflow.errors import InadmissibleFactor, InsufficientData, StepCollapse
+from hypflow.errors import InadmissibleFactor, InsufficientData, NonFinite, StepCollapse
 from hypflow.flows import (
     FlowSpec,
     decay_rate,
@@ -168,9 +168,8 @@ def test_stable_step_below_floor_collapses(pants, symmetric_l0):
     assert exc.value.trajectory.n_samples == 1
 
 
-def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
-    """Per accepted step: three RK4 stages, the field at the step's end, and
-    one 48-state batch for the energy quadrature's first two levels."""
+def _count_boundary_shapes(monkeypatch):
+    """The shape of every factor batch that Problem evaluates B at, in order."""
     shapes = []
     boundary = Problem._boundary
 
@@ -178,21 +177,53 @@ def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
         shapes.append(w.shape)
         return boundary(self, w, safety)
 
+    monkeypatch.setattr(Problem, "_boundary", counting)
+    return shapes
+
+
+def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
+    """B at w0 once; then per accepted step: three RK4 stages, the field at
+    the step's end, and one 48-state batch for the energy quadrature's first
+    two levels."""
+    shapes = _count_boundary_shapes(monkeypatch)
     solve = flows._solve
+    recorded = []
 
     def solve_unrecorded(*args, **kwargs):
+        recorded.extend(shapes)  # B at w0, evaluated before the Newton pre-solve
         report = solve(*args, **kwargs)
-        shapes.clear()  # the Newton pre-solve and the initial B are not stepping
+        shapes.clear()  # the pre-solve is not stepping
         return report
 
-    monkeypatch.setattr(Problem, "_boundary", counting)
     monkeypatch.setattr(flows, "_solve", solve_unrecorded)
     traj = integrate(pants, symmetric_l0, np.zeros(3),
                      FlowSpec(kind="fractional-calabi", targets=TARGETS, s=0.0))
     assert traj.status == "Converged" and traj.rejected_steps == 0
-    k1 = shapes.index((3,))
-    assert k1 >= 1 and all(len(shape) == 2 for shape in shapes[:k1])  # initial energy
-    assert shapes[k1 + 1:] == ([(3,)] * 4 + [(48, 3)]) * traj.accepted_steps
+    assert recorded == [(3,)]
+    first = shapes.index((3,))
+    assert first >= 1 and all(len(shape) == 2 for shape in shapes[:first])  # initial energy
+    assert shapes[first:] == ([(3,)] * 4 + [(48, 3)]) * traj.accepted_steps
+
+
+def test_field_failure_at_start_propagates(pants, symmetric_l0, monkeypatch):
+    # B at w = 60 is 7.7e-53, but the s = 1 field overflows the hexagon
+    # invariant there; the start used to be retried through 37 step halvings
+    # and end in a StepCollapse that hid the cause
+    shapes = _count_boundary_shapes(monkeypatch)
+    spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0)
+    with pytest.raises(NonFinite, match="hexagon invariant overflowed"):
+        integrate(pants, symmetric_l0, np.full(3, 60.0), spec)
+    assert shapes == [(3,)]
+
+
+def test_guo_run_is_pinned(pants, symmetric_l0):
+    # guo from a non-zero start; the bench runs no guo flow, so this pins it
+    traj = integrate(pants, symmetric_l0, np.array([0.3, -0.1, 0.2]),
+                     FlowSpec(kind="guo", t_max=3.0))
+    assert traj.status == "TimeBudgetExhausted"
+    assert (traj.n_samples, traj.accepted_steps, traj.rejected_steps) == (31, 30, 0)
+    assert traj.energies[-1] == -1.3621939421715388
+    assert traj.residuals[-1] == 0.14528676508731375
 
 
 def test_decay_rate_fits_converged_run(pants, symmetric_l0):

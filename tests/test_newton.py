@@ -118,10 +118,3 @@ def test_zero_safety_rejects_a_trial_at_margin_zero():
         solve_prescribed(tri, l0, np.full(tri.n_boundaries, 60.0), safety=0.0)
     assert np.all(admissibility_margin(tri, l0, exc.value.report.w_star) > 0)
 
-
-def test_report_serialization(pants, symmetric_l0):
-    report = solve_prescribed(pants, symmetric_l0, np.ones(3))
-    d = report.to_dict()
-    assert d["converged"] is True
-    assert len(d["w_star"]) == 3
-    assert d["iterations"] == report.iterations
