@@ -149,7 +149,12 @@ class Problem:
             return self._evaluate(w, safety)
 
     def _evaluate(self, w, safety):
-        B, lengths, ch, sh, u = self._boundary(w, safety)
+        B, *geometry = self._boundary(w, safety)
+        return B, self._jacobian(*geometry)
+
+    def _jacobian(self, lengths, ch, sh, u):
+        """L at the factor whose lengths, their cosh and sinh, and cosine
+        excesses `_boundary` returned after B."""
         h = invariant_h(ch[self._sides])
         if not np.isfinite(h).all():
             raise NonFinite("hexagon invariant overflowed")
@@ -158,7 +163,7 @@ class Problem:
         vals = jac * growth[self._sides][:, None, :]
         n = self.tri.n_boundaries
         L = np.bincount(self._l_index, weights=np.repeat(vals.ravel(), 2), minlength=n * n)
-        return B, L.reshape(n, n)
+        return L.reshape(n, n)
 
 
 def admissibility_margin(tri: IdealTriangulation, l0, w) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Flow vector fields and a guarded adaptive RK4 integrator.
+"""Flow vector fields and a guarded adaptive integrator.
 
 Three flows share one state space (the admissible conformal factors):
 
@@ -13,17 +13,21 @@ tolerance or the time budget.
 Guo's field is the s = 0 field with b = 0, and its potential phi is psi at
 b = 0, so all three run through one integrator with guo's targets set to 0.
 
-Integration is classical RK4 with step halving.  A proposal is rejected when
-any stage or the result drops an admissibility margin below `safety`, when a
-kernel leaves double range, or when the flow's Lyapunov value would increase
-(lambda for fractional-calabi, xi for generalized-yamabe, none for guo).
-After five consecutive accepts the step grows by 1.5x, capped at its initial
-value.  For fractional-calabi with s != 0 each step is also capped at
-RK4_STABLE / lambda_max^(s+1), lambda_max the largest eigenvalue of -L at the
-step's start: the field linearizes to -Delta^(s+1), and RK4 is stable on the
-negative real axis up to h lambda = 2.785 (Hairer & Wanner, Solving ODEs II,
-IV.2).  A step past that bound can jump into a region where B collapses and
-the field vanishes, stranding the run far from w*.
+Fractional-calabi with s != 0 takes exponential Rosenbrock-Euler steps
+(Hochbruck & Ostermann, Exponential integrators, Acta Numerica 2010).  Its
+field linearizes to -Delta^(s+1), and with Delta = V diag(lambda) V^T at the
+step's start the step is
+
+    w_new = w + V diag(-expm1(-h lambda^(s+1)) / lambda) V^T (B - b),
+
+exact on that linearization at any h and the Newton step as h -> inf.  It
+needs one B, L and eigendecomposition per step, at the step's end, which the
+next step starts from.  The other flows take classical RK4 steps.  A
+proposal is rejected when any stage or the result drops an admissibility
+margin below `safety`, when a kernel leaves double range, or when the flow's
+Lyapunov value would increase (lambda for fractional-calabi, xi for
+generalized-yamabe, none for guo); the step then halves.  After five
+consecutive accepts the step grows by 1.5x, capped at its initial value.
 
 Lyapunov values are tracked incrementally: the psi part of each
 increment is a line integral over the step segment (short, and by convexity
@@ -67,7 +71,6 @@ TIME_BUDGET_EXHAUSTED = "TimeBudgetExhausted"
 GUARD_TRIGGERED = "GuardTriggered"
 
 STEP_FLOOR = 1e-12
-RK4_STABLE = 2.5  # below RK4's real stability bound 2.785, with margin
 GROW_AFTER = 5
 GROW_FACTOR = 1.5
 
@@ -115,27 +118,35 @@ def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
     problem = Problem(tri, l0)
     targets = _effective_targets(tri.n_boundaries, spec)
     with np.errstate(over="ignore"):
-        return _field(problem, problem.check_factor(w), spec, targets)[0]
+        k, B = _field(problem, problem.check_factor(w), spec, targets)
+        if _exponential(spec):
+            lam, vecs = k
+            k = vecs @ (lam**spec.s * (vecs.T @ (B - targets)))
+    return k
+
+
+def _exponential(spec: FlowSpec) -> bool:
+    """Whether the flow takes exponential steps: fractional-calabi, s != 0."""
+    return spec.kind == FRACTIONAL_CALABI and spec.s != 0.0
 
 
 def _field(problem: Problem, w, spec: FlowSpec, targets, safety: float = 0.0):
-    """(dw/dt, B, largest stable step) at w; InadmissibleFactor if a margin is
-    below safety.  targets are the effective ones (zeros for guo, whose
-    field B is the s = 0 field).  The step bound is RK4_STABLE /
-    lambda_max^(s+1) for fractional-calabi with s != 0, inf otherwise.
+    """(k, B) at w: k is dw/dt, or for the exponential flows the eigenpairs
+    (lambda, V) of Delta = -L that apply Delta's functions to vectors.
+    InadmissibleFactor if a margin is below safety.  targets are the
+    effective ones (zeros for guo, whose field B is the s = 0 field).
     Callers silence overflow warnings, as for Problem's private methods."""
-    if spec.kind == FRACTIONAL_CALABI and spec.s != 0.0:
+    if _exponential(spec):
         B, L = problem._evaluate(w, safety)
-        power, lam, _ = _power(L, spec.s)
-        return power @ (B - targets), B, RK4_STABLE / lam[-1] ** (spec.s + 1.0)
+        return _power(L, spec.s), B
     B = problem._boundary(w, safety)[0]
     diff = B - targets
     if spec.kind == GENERALIZED_YAMABE:
         g = ((2.0 - spec.p) * B + spec.p * targets) / B ** (spec.p + 1.0)
-        return g * diff, B, np.inf
+        return g * diff, B
     # the zero power is the identity; skipping the eigensolver keeps the
     # s = 0 field exact
-    return diff, B, np.inf
+    return diff, B
 
 
 @dataclass
@@ -182,10 +193,10 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     """Run the flow from w0 until tolerance, time budget, or guard failure.
 
     Raises StepCollapse (carrying the partial trajectory, status
-    GuardTriggered) if halving or the stability cap pushes the step below
-    1e-12.  The field is evaluated at w0 once, before anything else: a start
-    below `safety` raises InadmissibleFactor, and a field that fails there
-    (NonFinite, EigSolveFailure) propagates.  The target-seeking flows then
+    GuardTriggered) if halving pushes the step below 1e-12.  The field is
+    evaluated at w0 once, before anything else: a start below `safety`
+    raises InadmissibleFactor, and a field that fails there (NonFinite,
+    EigSolveFailure) propagates.  The target-seeking flows then
     solve for w* once to anchor the recorded Lyapunov values; solver
     failures propagate.
     """
@@ -198,9 +209,10 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
 
     # trial states may overflow the kernels, which check for it themselves
     with np.errstate(over="ignore"):
-        # k1 and the stable step bound at w are carried over from the last
-        # stage of each accepted step (first same as last)
-        k1, B, h_stable = _field(problem, w, spec, targets, spec.safety)
+        exponential = _exponential(spec)
+        # k1 at w is carried over from the end of each accepted step (first
+        # same as last)
+        k1, B = _field(problem, w, spec, targets, spec.safety)
         if spec.kind == GUO:
             energy_kind, w_star, anchor = "phi", None, np.zeros(n)
         else:
@@ -220,18 +232,23 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             if spec.t_max - t < STEP_FLOOR:
                 status = TIME_BUDGET_EXHAUSTED
                 break
-            h_try = min(h, spec.t_max - t, h_stable)
-            if h_try < STEP_FLOOR:
+            if h < STEP_FLOOR:
                 status = GUARD_TRIGGERED
                 break
+            h_try = min(h, spec.t_max - t)
 
             try:
-                # a stage below the safety floor raises InadmissibleFactor
-                k2 = _field(problem, w + 0.5 * h_try * k1, spec, targets, spec.safety)[0]
-                k3 = _field(problem, w + 0.5 * h_try * k2, spec, targets, spec.safety)[0]
-                k4 = _field(problem, w + h_try * k3, spec, targets, spec.safety)[0]
-                w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k_new, B_new, h_new = _field(problem, w_new, spec, targets, spec.safety)
+                if exponential:
+                    lam, vecs = k1
+                    w_new = w - vecs @ (np.expm1(-h_try * lam ** (spec.s + 1.0)) / lam
+                                        * (vecs.T @ (B - targets)))
+                else:
+                    # a stage below the safety floor raises InadmissibleFactor
+                    k2 = _field(problem, w + 0.5 * h_try * k1, spec, targets, spec.safety)[0]
+                    k3 = _field(problem, w + 0.5 * h_try * k2, spec, targets, spec.safety)[0]
+                    k4 = _field(problem, w + h_try * k3, spec, targets, spec.safety)[0]
+                    w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k_new, B_new = _field(problem, w_new, spec, targets, spec.safety)
             except (InadmissibleFactor, NonFinite, EigSolveFailure):
                 accept = False
             else:
@@ -250,7 +267,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 h = h_try / 2.0
                 continue
 
-            w, B, k1, h_stable, penalty = w_new, B_new, k_new, h_new, penalty_new
+            w, B, k1, penalty = w_new, B_new, k_new, penalty_new
             t += h_try
             energy = energy + delta_energy
             residual = float(np.abs(B - targets).max())
@@ -268,8 +285,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                       status=status, energy_kind=energy_kind, w_star=w_star,
                       accepted_steps=accepted, rejected_steps=rejected)
     if status == GUARD_TRIGGERED:
-        cause = f"stable step {h_try:.3e} is" if h_try == h_stable else "step collapsed"
-        raise StepCollapse(f"{cause} below {STEP_FLOOR} at t = {t:.6g}", trajectory=traj)
+        raise StepCollapse(f"step collapsed below {STEP_FLOOR} at t = {t:.6g}", trajectory=traj)
     return traj
 
 

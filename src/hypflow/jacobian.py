@@ -25,8 +25,10 @@ def boundary_jacobian(tri: IdealTriangulation, l0, w) -> np.ndarray:
     return problem.evaluate(problem.check_factor(w))[1]
 
 
-def _power(L: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Delta^s, eigenvalues, eigenvectors) for Delta = -L, L a float array.
+def _power(L: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of Delta = -L, L a float array, checked for
+    raising Delta to the power s: Delta^s = Q diag(lambda^s) Q^T, which
+    callers apply to vectors without forming the matrix.
 
     Uses the symmetric eigendecomposition.  Raises EigSolveFailure if the
     solver does not converge, if the spectrum is not strictly positive (L
@@ -48,4 +50,4 @@ def _power(L: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             f"spectrum nearly singular (min {lam[0]:.3e}, max {lam[-1]:.3e}); "
             "refusing negative power"
         )
-    return (vecs * lam**s) @ vecs.T, lam, vecs
+    return lam, vecs

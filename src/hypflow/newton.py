@@ -59,9 +59,11 @@ def solve_prescribed(
     return _solve(problem, targets, w, tol, safety)
 
 
+# the kernels check for the overflow they meet themselves
+@np.errstate(over="ignore")
 def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
     """solve_prescribed on a checked problem, targets and start."""
-    B, L = problem.evaluate(w)
+    B, *geometry = problem._boundary(w, 0.0)
     residual = float(np.max(np.abs(B - targets)))
     iterations = 0
     while residual >= tol:
@@ -70,6 +72,8 @@ def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
                 f"no convergence after {MAX_ITERATIONS} iterations (residual {residual:.3e})",
                 report=SolveReport(w, iterations, residual, False),
             )
+        # L is assembled here only, so never at the converged iterate
+        L = problem._jacobian(*geometry)
         try:
             factor = np.linalg.cholesky(-L)
         except np.linalg.LinAlgError as exc:
@@ -85,7 +89,7 @@ def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
                 # exactly 0; that trial is rejected like one below the floor
                 problem.check_margin(w_try, safety)
                 if _segment_flux(problem, w, w_try, targets, rtol=1e-12) <= ARMIJO * alpha * slope:
-                    B, L = problem.evaluate(w_try)
+                    B, *geometry = problem._boundary(w_try, 0.0)
                     break
             except InadmissibleFactor:
                 pass

@@ -13,7 +13,7 @@ from hypflow.flows import (
     vector_field,
     write_trajectory_csv,
 )
-from hypflow.jacobian import _power, boundary_jacobian
+from hypflow.jacobian import boundary_jacobian
 from hypflow.newton import solve_prescribed
 
 TARGETS = np.array([1.0, 1.0, 1.0])
@@ -36,8 +36,7 @@ def test_vector_field_shapes(pants, symmetric_l0):
     calabi1 = vector_field(pants, symmetric_l0, w,
                            FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0))
     L = boundary_jacobian(pants, symmetric_l0, w)
-    assert np.allclose(calabi1, _power(L, 1.0)[0] @ (B - TARGETS),
-                       rtol=0, atol=1e-14)
+    assert np.allclose(calabi1, -L @ (B - TARGETS), rtol=0, atol=1e-14)  # Delta^1 = -L
 
 
 def test_vector_field_zero_at_fixed_point(pants, symmetric_l0):
@@ -159,57 +158,102 @@ def test_unscreened_instances_reach_newton_solution():
         assert np.max(np.abs(traj.ws[-1] - w_star)) < 1e-6, seed
 
 
-def test_stable_step_below_floor_collapses(pants, symmetric_l0):
-    # lambda_max = 2.958 at w = 0, so the s = 40 cap is 2.5 / 2.958^41 = 1e-19:
-    # a run held to it could never reach its time budget
+def test_unscreened_stiff_targets_converge_in_few_steps():
+    # with targets 5, RK4 held to its stability bound took 12 755 accepted
+    # steps for these 20 runs at s = 1 and 234 381 at s = 2; the exponential
+    # step is exact on the stiff linear part at any step size
+    for s in (1.0, 2.0):
+        accepted = 0
+        for seed in range(20):
+            tri, l0 = instances.random_instance(np.random.default_rng(seed))
+            targets = np.full(tri.n_boundaries, 5.0)
+            spec = FlowSpec(kind="fractional-calabi", targets=targets, s=s, t_max=200.0)
+            traj = integrate(tri, l0, np.zeros(tri.n_boundaries), spec)
+            assert traj.status == "Converged", (s, seed)
+            w_star = solve_prescribed(tri, l0, targets).w_star
+            assert np.max(np.abs(traj.ws[-1] - w_star)) < 1e-6, (s, seed)
+            accepted += traj.accepted_steps
+            assert accepted < 1000, (s, seed)  # per run, so a slow integrator fails early
+
+
+def test_large_power_takes_full_steps(pants, symmetric_l0):
+    # lambda_max = 2.958 at w = 0, so RK4 at s = 40 is stable only for steps
+    # below 2.785 / 2.958^41 = 1e-19; the exponential step needs no such cap
     spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=40.0)
-    with pytest.raises(StepCollapse, match="stable step") as exc:
-        integrate(pants, symmetric_l0, np.zeros(3), spec)
-    assert exc.value.trajectory.n_samples == 1
+    traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
+    assert traj.status == "Converged"
+    assert traj.n_samples == 4 and abs(traj.ts[-1] - 0.3) < 1e-12
+    assert np.max(np.abs(traj.ws[-1] - traj.w_star)) < 1e-6
 
 
-def _count_boundary_shapes(monkeypatch):
-    """The shape of every factor batch that Problem evaluates B at, in order."""
+def _count_evaluations(monkeypatch):
+    """The shape of every factor batch that Problem evaluates B at, in order,
+    with "eigh" where a symmetric eigensolve runs."""
     shapes = []
     boundary = Problem._boundary
+    eigh = np.linalg.eigh
 
     def counting(self, w, safety):
         shapes.append(w.shape)
         return boundary(self, w, safety)
 
+    def counting_eigh(a):
+        shapes.append("eigh")
+        return eigh(a)
+
     monkeypatch.setattr(Problem, "_boundary", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return shapes
 
 
-def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
-    """B at w0 once; then per accepted step: three RK4 stages, the field at
-    the step's end, and one 48-state batch for the energy quadrature's first
-    two levels."""
-    shapes = _count_boundary_shapes(monkeypatch)
+def _stepping_evaluations(monkeypatch, pants, symmetric_l0, spec):
+    """(evaluations at w0, evaluations of the steps, trajectory) of a run from
+    w = 0 that rejects no step; the Newton pre-solve's are left out."""
+    shapes = _count_evaluations(monkeypatch)
     solve = flows._solve
-    recorded = []
+    start = []
 
     def solve_unrecorded(*args, **kwargs):
-        recorded.extend(shapes)  # B at w0, evaluated before the Newton pre-solve
+        start.extend(shapes)  # the field at w0, evaluated before the Newton pre-solve
         report = solve(*args, **kwargs)
         shapes.clear()  # the pre-solve is not stepping
         return report
 
     monkeypatch.setattr(flows, "_solve", solve_unrecorded)
-    traj = integrate(pants, symmetric_l0, np.zeros(3),
-                     FlowSpec(kind="fractional-calabi", targets=TARGETS, s=0.0))
+    traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
     assert traj.status == "Converged" and traj.rejected_steps == 0
-    assert recorded == [(3,)]
     first = shapes.index((3,))
     assert first >= 1 and all(len(shape) == 2 for shape in shapes[:first])  # initial energy
-    assert shapes[first:] == ([(3,)] * 4 + [(48, 3)]) * traj.accepted_steps
+    return start, shapes[first:], traj
+
+
+def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
+    """B at w0 once; then per accepted step: three RK4 stages, the field at
+    the step's end, and one 48-state batch for the energy quadrature's first
+    two levels.  No eigensolve runs."""
+    start, steps, traj = _stepping_evaluations(
+        monkeypatch, pants, symmetric_l0,
+        FlowSpec(kind="fractional-calabi", targets=TARGETS, s=0.0))
+    assert start == [(3,)]
+    assert steps == ([(3,)] * 4 + [(48, 3)]) * traj.accepted_steps
+
+
+def test_each_exponential_step_evaluates_b_twice(pants, symmetric_l0, monkeypatch):
+    """s != 0: B, L and one eigensolve at w0; then per accepted step B, L and
+    one eigensolve at the step's end, which the next step starts from, and
+    the 48-state quadrature batch."""
+    start, steps, traj = _stepping_evaluations(
+        monkeypatch, pants, symmetric_l0,
+        FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0))
+    assert start == [(3,), "eigh"]
+    assert steps == [(3,), "eigh", (48, 3)] * traj.accepted_steps
 
 
 def test_field_failure_at_start_propagates(pants, symmetric_l0, monkeypatch):
     # B at w = 60 is 7.7e-53, but the s = 1 field overflows the hexagon
     # invariant there; the start used to be retried through 37 step halvings
     # and end in a StepCollapse that hid the cause
-    shapes = _count_boundary_shapes(monkeypatch)
+    shapes = _count_evaluations(monkeypatch)
     spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0)
     with pytest.raises(NonFinite, match="hexagon invariant overflowed"):
         integrate(pants, symmetric_l0, np.full(3, 60.0), spec)
@@ -313,9 +357,9 @@ def test_decay_rate_refuses_stalled_tail():
 # the README `compare --s=-1,0,1 --p=0,1` table on the pants, targets 1:
 # (kind, param, samples, decay_rate, final_residual) as printed with %.17g
 README_COMPARE = [
-    ("fractional-calabi", -1.0, 166, 0.99999909471081461, 9.5038490410814802e-09),
+    ("fractional-calabi", -1.0, 166, 0.99999982477555316, 9.5962540136440566e-09),
     ("fractional-calabi", 0.0, 68, 2.459391643913019, 8.1194144740948104e-09),
-    ("fractional-calabi", 1.0, 28, 6.0378506757312449, 8.2374667087492526e-09),
+    ("fractional-calabi", 1.0, 28, 6.049058599994571, 7.6371506896322217e-09),
     ("generalized-yamabe", 0.0, 35, 4.9153441864333551, 6.4261498344819756e-09),
     ("generalized-yamabe", 1.0, 35, 4.9153288856480453, 7.7846193935471319e-09),
 ]
@@ -349,9 +393,10 @@ def test_decay_rate_matches_linearization(pants, symmetric_l0, kind, param):
     # the symmetric start excites only the all-ones mode of -L at w*, whose
     # eigenvalue is its Rayleigh quotient mu = 2.4595; the flow linearizes to
     # rate mu^(s+1) (fractional-calabi) or 2 mu (yamabe, g = 2 at B = b = 1).
-    # Every step of the fitted tail is 0.1, so the fit sees RK4's discrete
-    # rate, not the continuous one (off by 13 % at s = 2); measured agreement
-    # is 5.2e-6.  At s = 2 the stability cap trims the first step to 0.0966.
+    # Every step of the fitted tail is 0.1.  The exponential step (s != 0) is
+    # exact on the linearization, so its fit sees the continuous rate; RK4
+    # (s = 0 and yamabe) is not, so its fit sees RK4's discrete rate, which
+    # would be off by 13 % at s = 2.  Measured agreement is 6.5e-6 or better.
     w_star = solve_prescribed(pants, symmetric_l0, TARGETS, tol=1e-12).w_star
     ones = np.ones(3)
     mu = -(ones @ boundary_jacobian(pants, symmetric_l0, w_star) @ ones) / 3.0
@@ -364,4 +409,6 @@ def test_decay_rate_matches_linearization(pants, symmetric_l0, kind, param):
     assert traj.status == "Converged"
     tail = traj.ts[traj.n_samples // 2:]  # the samples decay_rate fits
     assert np.allclose(np.diff(tail), spec.step, rtol=0, atol=1e-12)
-    assert abs(decay_rate(traj).rate / _rk4_rate(lam, spec.step) - 1.0) < 1e-5
+    exponential = kind == "fractional-calabi" and param != 0.0
+    expected = lam if exponential else _rk4_rate(lam, spec.step)
+    assert abs(decay_rate(traj).rate / expected - 1.0) < 1e-5

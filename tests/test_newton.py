@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypflow import instances, newton
-from hypflow.conformal import admissibility_margin, boundary_lengths
+from hypflow.conformal import Problem, admissibility_margin, boundary_lengths
 from hypflow.errors import LineSearchFailure, MaxIterations
 from hypflow.newton import solve_prescribed
 
@@ -68,6 +68,24 @@ def test_start_independence(pants, symmetric_l0):
 def test_solution_is_admissible(pants, symmetric_l0):
     report = solve_prescribed(pants, symmetric_l0, np.full(3, 4.0))
     assert np.all(admissibility_margin(pants, symmetric_l0, report.w_star) > 0)
+
+
+def test_jacobian_assembled_once_per_iteration(pants, symmetric_l0, monkeypatch):
+    # L is needed only for a step that follows, never at the converged iterate
+    assemblies = []
+    jacobian = Problem._jacobian
+
+    def counting(self, *geometry):
+        assemblies.append(1)
+        return jacobian(self, *geometry)
+
+    monkeypatch.setattr(Problem, "_jacobian", counting)
+    targets = np.array([0.8, 1.7, 2.4])
+    report = solve_prescribed(pants, symmetric_l0, targets)
+    assert report.iterations >= 3 and len(assemblies) == report.iterations
+    assemblies.clear()
+    again = solve_prescribed(pants, symmetric_l0, targets, w_init=report.w_star)
+    assert again.iterations == 0 and assemblies == []
 
 
 def test_max_iterations_carries_partial_report(pants, symmetric_l0, monkeypatch):
