@@ -22,6 +22,8 @@ dl_e/dw = 2 coth(l_e/2) per endpoint occurrence (so a self-edge contributes
 `Problem` checks a base metric once and evaluates margins, B and L on it for
 a batch of factors, shape (..., n) (`evaluate`: one factor); the functions
 below it check their inputs on every call and then delegate to a `Problem`.
+A batch row's geometry equals a lone evaluation's bit for bit; its B, a
+matrix product, may differ in the last place from the vector sum of its arcs.
 """
 
 from __future__ import annotations
@@ -72,13 +74,18 @@ class Problem:
     def __init__(self, tri: IdealTriangulation, l0):
         self.tri = tri
         self._log_cosh_half = log_cosh_half(_check_metric(tri, l0))
-        self._i, self._j = tri.edge_ij.T
+        n, n_edges = tri.n_boundaries, tri.n_edges
+        # margin = w @ incidence + ln cosh(l0/2); a self-edge's column holds 2
+        self._incidence = (tri.edge_ij.T[:, None] == np.arange(n)[:, None]).sum(0, dtype=float)
         # corner m of a face lies between side slots m and m+1, opposite slot m+2
         self._sides = sides = tri.face_sides
         self._opposite = sides[:, [2, 0, 1]]
-        self._pair = sides[:, [[0, 1], [1, 2], [2, 0]]]
+        # (operand, face, corner) into the concatenated (lengths, sinh, cosh):
+        # the opposite side's cosh, then the two adjacent sides' lengths and sinh
+        adjacent = sides[:, [1, 2, 0]]
+        self._corner_operands = np.stack([self._opposite + 2 * n_edges, sides, adjacent,
+                                          sides + n_edges, adjacent + n_edges])
         # flat row * n + col of every (face, corner, side, endpoint) term of L
-        n = tri.n_boundaries
         flat = tri.face_corners[:, :, None, None] * n + tri.edge_ij[sides][:, None, :, :]
         self._l_index = np.broadcast_to(flat, (tri.n_faces, 3, 3, 2)).ravel()
 
@@ -94,7 +101,7 @@ class Problem:
 
     def margin(self, w) -> np.ndarray:
         """Per-edge margins, shape (..., |E|); w is admissible iff all are > 0."""
-        return w[..., self._i] + w[..., self._j] + self._log_cosh_half
+        return w @ self._incidence + self._log_cosh_half
 
     def check_margin(self, w, safety: float = 0.0) -> np.ndarray:
         """margin(w); InadmissibleFactor, carrying the offending edge index,
@@ -125,18 +132,20 @@ class Problem:
         return lengths
 
     def _boundary(self, w, safety):
+        """(B, geometry, arcs) at w: geometry is (lengths, cosh, sinh, cosine
+        excesses u), as `_jacobian` takes it; arcs, flattened, as B sums them."""
         lengths = self._lengths(w, safety)
         ch, sh = np.cosh(lengths), np.sinh(lengths)
-        l_pair, sh_pair = lengths[..., self._pair], sh[..., self._pair]
-        u = cosine_excess(ch[..., self._opposite], l_pair[..., 0], l_pair[..., 1],
-                          sh_pair[..., 0], sh_pair[..., 1])
+        corner = np.concatenate((lengths, sh, ch), axis=-1)[..., self._corner_operands]
+        u = cosine_excess(corner[..., 0, :, :], corner[..., 1, :, :], corner[..., 2, :, :],
+                          corner[..., 3, :, :], corner[..., 4, :, :])
         # a non-contiguous operand takes another matmul path, with other rounding
-        arcs = np.ascontiguousarray(arccosh1p(u))
-        B = arcs.reshape(arcs.shape[:-2] + (-1,)) @ self.tri.corner_scatter
+        arcs = np.ascontiguousarray(arccosh1p(u)).reshape(u.shape[:-2] + (-1,))
+        B = arcs @ self.tri.corner_scatter
         # every arc enters exactly one B_i, so this also checks every arc
         if not np.isfinite(B).all():
             raise NonFinite("arc computation overflowed")
-        return B, lengths, ch, sh, u
+        return B, (lengths, ch, sh, u), arcs
 
     def boundary_lengths(self, w, safety: float = 0.0) -> np.ndarray:
         """Geodesic boundary lengths B, shape (..., n)."""
@@ -146,15 +155,12 @@ class Problem:
     def evaluate(self, w, safety: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """B and the dense n x n Jacobian L[i, j] = dB_i/dw_j at one factor w."""
         with np.errstate(over="ignore"):
-            return self._evaluate(w, safety)
-
-    def _evaluate(self, w, safety):
-        B, *geometry = self._boundary(w, safety)
-        return B, self._jacobian(*geometry)
+            B, geometry, _ = self._boundary(w, safety)
+            return B, self._jacobian(*geometry)
 
     def _jacobian(self, lengths, ch, sh, u):
-        """L at the factor whose lengths, their cosh and sinh, and cosine
-        excesses `_boundary` returned after B."""
+        """L at the factor whose geometry (lengths, their cosh and sinh, and
+        cosine excesses) `_boundary` returned, or one state's row of it."""
         h = invariant_h(ch[self._sides])
         if not np.isfinite(h).all():
             raise NonFinite("hexagon invariant overflowed")

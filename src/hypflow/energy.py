@@ -20,7 +20,8 @@ psi(w) - psi(w*) is always evaluated as one line integral from w* to w,
 never as a difference of two potentials: near w* both potentials are O(1)
 while the gap is O(|w - w*|^2), and the subtraction would drown it in
 rounding noise.  The line integrals stop when two quadrature levels agree,
-and raise QuadratureStall when MAX_REFINEMENTS doublings never do.
+and raise QuadratureStall when MAX_REFINEMENTS doublings never do.  The
+first batch carries the end as its last row, for callers that need B there.
 """
 
 from __future__ import annotations
@@ -64,30 +65,34 @@ def segment_flux(tri: IdealTriangulation, l0, start, end, targets=None, rtol=1e-
     start, end = problem.check_factor(start), problem.check_factor(end)
     problem.check_margin(start)
     problem.check_margin(end)
-    return _segment_flux(problem, start, end, targets, rtol)
+    with np.errstate(over="ignore"):
+        return _segment_flux(problem, start, end, targets, rtol)[0]
 
 
-def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10) -> float:
-    """segment_flux on a checked problem, between two admissible factors."""
+def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10):
+    """(segment_flux, B(end), end's geometry; see Problem._boundary) on a
+    checked problem, between two admissible factors.  Callers silence
+    overflow warnings, as for Problem's private methods."""
     delta = end - start
-    if not delta.any():
-        return 0.0
     t = 0.0 if targets is None else np.asarray(targets, dtype=float)
 
-    def flux(levels):
-        states = start + _panel_nodes(levels)[:, None] * delta
-        return (t - problem.boundary_lengths(states)) @ delta
+    def flux(levels, *rows):
+        states = np.concatenate((start + _panel_nodes(levels)[:, None] * delta, *rows))
+        B, geometry, arcs = problem._boundary(states, 0.0)
+        return (t - B) @ delta, geometry, arcs
 
     def total(level_flux, level):
         panels = 2**level
         return float((level_flux.reshape(panels, -1) @ _gl_nodes(GL_POINTS)[1]).sum() / panels)
 
-    first = flux((0, 1))
+    first, geometry, arcs = flux((0, 1), end[None])
     prev = total(first[:GL_POINTS], 0)
     for level in range(1, MAX_REFINEMENTS + 1):
-        current = total(first[GL_POINTS:] if level == 1 else flux((level,)), level)
+        current = total(first[GL_POINTS:-1] if level == 1 else flux((level,))[0], level)
         if abs(current - prev) <= rtol * max(1.0, abs(current)):
-            return current
+            # a lone evaluation sums B on the vector path, whose rounding a
+            # batch row does not share
+            return current, arcs[-1] @ problem.tri.corner_scatter, tuple(g[-1] for g in geometry)
         prev = current
     raise QuadratureStall(f"no agreement to rtol={rtol} after {MAX_REFINEMENTS} refinements")
 

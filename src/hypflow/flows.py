@@ -20,21 +20,22 @@ step's start the step is
 
     w_new = w + V diag(-expm1(-h lambda^(s+1)) / lambda) V^T (B - b),
 
-exact on that linearization at any h and the Newton step as h -> inf.  It
-needs one B, L and eigendecomposition per step, at the step's end, which the
-next step starts from.  The other flows take classical RK4 steps.  A
-proposal is rejected when any stage or the result drops an admissibility
-margin below `safety`, when a kernel leaves double range, or when the flow's
-Lyapunov value would increase (lambda for fractional-calabi, xi for
-generalized-yamabe, none for guo); the step then halves.  After five
-consecutive accepts the step grows by 1.5x, capped at its initial value.
+exact on that linearization at any h and the Newton step as h -> inf.  The
+other flows take classical RK4 steps.  A proposal is rejected when any stage
+or the result drops an admissibility margin below `safety`, when a kernel
+leaves double range, or when the flow's Lyapunov value would increase
+(lambda for fractional-calabi, xi for generalized-yamabe, none for guo); the
+step then halves.  After five consecutive accepts the step grows by 1.5x,
+capped at its initial value.
 
-Lyapunov values are tracked incrementally: the psi part of each
-increment is a line integral over the step segment (short, and by convexity
-at least `safety` away from the admissible boundary, so the quadrature is
-effectively exact), which keeps the recorded energies meaningful down to the
-convergence floor where differencing two absolute potentials would return
-pure rounding noise.
+Lyapunov values are tracked incrementally: the psi part of each increment is
+a line integral over the step segment (short, and by convexity at least
+`safety` away from the admissible boundary, so the quadrature is effectively
+exact), which keeps the recorded energies meaningful down to the convergence
+floor where differencing two absolute potentials would return pure rounding
+noise.  The step's end is the last row of the integral's first batch, its
+only evaluation of B; an exponential step adds L and an eigendecomposition
+there once accepted and unconverged, for the next step, and RK4 three stages.
 
 The recorded energy is the flow's own Lyapunov value, anchored at the
 critical point w* found by the Newton solver (for guo, the potential phi
@@ -131,22 +132,25 @@ def _exponential(spec: FlowSpec) -> bool:
 
 
 def _field(problem: Problem, w, spec: FlowSpec, targets, safety: float = 0.0):
-    """(k, B) at w: k is dw/dt, or for the exponential flows the eigenpairs
-    (lambda, V) of Delta = -L that apply Delta's functions to vectors.
-    InadmissibleFactor if a margin is below safety.  targets are the
-    effective ones (zeros for guo, whose field B is the s = 0 field).
-    Callers silence overflow warnings, as for Problem's private methods."""
+    """(k, B) at w, k as `_direction` gives it; InadmissibleFactor if a margin
+    is below safety.  Callers silence overflow warnings."""
+    B, geometry, _ = problem._boundary(w, safety)
+    return _direction(problem, B, geometry, spec, targets), B
+
+
+def _direction(problem: Problem, B, geometry, spec: FlowSpec, targets):
+    """dw/dt from B and its geometry (see Problem._boundary), or for the
+    exponential flows the eigenpairs (lambda, V) of Delta = -L.  targets are
+    the effective ones (zeros for guo, whose field B is the s = 0 field)."""
     if _exponential(spec):
-        B, L = problem._evaluate(w, safety)
-        return _power(L, spec.s), B
-    B = problem._boundary(w, safety)[0]
+        return _power(problem._jacobian(*geometry), spec.s)
     diff = B - targets
     if spec.kind == GENERALIZED_YAMABE:
         g = ((2.0 - spec.p) * B + spec.p * targets) / B ** (spec.p + 1.0)
-        return g * diff, B
+        return g * diff
     # the zero power is the identity; skipping the eigensolver keeps the
     # s = 0 field exact
-    return diff, B
+    return diff
 
 
 @dataclass
@@ -219,7 +223,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
             w_star = anchor = _solve(problem, targets, np.zeros(n), tol=1e-10, safety=1e-6).w_star
         penalty = _penalty(B, spec, targets)
-        energy = _segment_flux(problem, anchor, w, targets) + penalty
+        energy = _segment_flux(problem, anchor, w, targets)[0] + penalty
         residual = float(np.abs(B - targets).max())
         # (t, w, B, residual, energy) per sample; w and B are never modified
         # in place, so they are held uncopied
@@ -248,18 +252,23 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                     k3 = _field(problem, w + 0.5 * h_try * k2, spec, targets, spec.safety)[0]
                     k4 = _field(problem, w + h_try * k3, spec, targets, spec.safety)[0]
                     w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k_new, B_new = _field(problem, w_new, spec, targets, spec.safety)
-            except (InadmissibleFactor, NonFinite, EigSolveFailure):
-                accept = False
-            else:
+                # the quadrature checks its nodes at margin 0 only
+                problem.check_margin(w_new, spec.safety)
+                flux, B_new, geometry = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
                 # Lyapunov change over the step (the phi increment for guo);
                 # the target-seeking flows reject any increase, and the energy
                 # is recorded with this exact quantity so the stored sequence
                 # is non-increasing in float arithmetic too
                 penalty_new = _penalty(B_new, spec, targets)
-                delta_energy = (_segment_flux(problem, w, w_new, targets, rtol=1e-12)
-                                + penalty_new - penalty)
+                delta_energy = flux + penalty_new - penalty
                 accept = spec.kind == GUO or not delta_energy > 0.0
+                residual_new = float(np.abs(B_new - targets).max())
+                # the field at the end, which the next step starts from, only
+                # for an accepted step that leaves one to take
+                k1_new = (_direction(problem, B_new, geometry, spec, targets)
+                          if accept and residual_new >= spec.tol else None)
+            except (InadmissibleFactor, NonFinite, EigSolveFailure):
+                accept = False
 
             if not accept:
                 rejected += 1
@@ -267,10 +276,9 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 h = h_try / 2.0
                 continue
 
-            w, B, k1, penalty = w_new, B_new, k_new, penalty_new
+            w, B, k1, penalty, residual = w_new, B_new, k1_new, penalty_new, residual_new
             t += h_try
             energy = energy + delta_energy
-            residual = float(np.abs(B - targets).max())
             samples.append((t, w, B, residual, energy))
             accepted += 1
             consecutive += 1

@@ -63,7 +63,7 @@ def solve_prescribed(
 @np.errstate(over="ignore")
 def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
     """solve_prescribed on a checked problem, targets and start."""
-    B, *geometry = problem._boundary(w, 0.0)
+    B, geometry, _ = problem._boundary(w, 0.0)
     residual = float(np.max(np.abs(B - targets)))
     iterations = 0
     while residual >= tol:
@@ -88,8 +88,8 @@ def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
                 # with safety 0, a margin at a quadrature node can round to
                 # exactly 0; that trial is rejected like one below the floor
                 problem.check_margin(w_try, safety)
-                if _segment_flux(problem, w, w_try, targets, rtol=1e-12) <= ARMIJO * alpha * slope:
-                    B, *geometry = problem._boundary(w_try, 0.0)
+                trial = _segment_flux(problem, w, w_try, targets, rtol=1e-12)
+                if trial[0] <= ARMIJO * alpha * slope:
                     break
             except InadmissibleFactor:
                 pass
@@ -99,7 +99,8 @@ def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
                     f"backtracking stalled at iteration {iterations} (residual {residual:.3e})",
                     report=SolveReport(w, iterations, residual, False),
                 )
-        w = w_try
+        # the trial's B and geometry, the last row of its quadrature batch
+        w, (_, B, geometry) = w_try, trial
         residual = float(np.max(np.abs(B - targets)))
         iterations += 1
     return SolveReport(w, iterations, residual, True)

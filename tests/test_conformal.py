@@ -15,6 +15,7 @@ from hypflow.conformal import (
     log_cosh_half,
     save_metric,
 )
+from hypflow.energy import _segment_flux
 from hypflow.errors import InadmissibleFactor, MeshFormatError
 from hypflow.triangulation import build_triangulation
 
@@ -157,6 +158,32 @@ def test_batched_factors(pants, symmetric_l0):
     for k in range(6):
         assert np.array_equal(M[k], admissibility_margin(pants, symmetric_l0, ws[k]))
         assert np.array_equal(B[k], boundary_lengths(pants, symmetric_l0, ws[k]))
+
+
+def test_batch_rows_match_lone_evaluations(pants, torus, symmetric_l0):
+    """Bitwise: each row of a batch against a lone evaluation, the end B and
+    geometry of a segment flux against a lone evaluation at the end, and
+    margins against w_i + w_j + ln cosh(l0/2)."""
+    rng = np.random.default_rng(11)
+    cases = [(pants, symmetric_l0), (torus, symmetric_l0)]
+    cases += [instances.random_instance(rng, n_faces=faces) for faces in range(2, 49, 2)]
+    for tri, l0 in cases:
+        problem = Problem(tri, l0)
+        ws = np.array([instances.random_admissible_factor(rng, tri, l0) for _ in range(5)])
+        i, j = tri.edge_ij.T
+        lch = log_cosh_half(l0)
+        assert np.array_equal(problem.margin(ws), ws[:, i] + ws[:, j] + lch)
+        geometry = problem._boundary(ws, 0.0)[1]
+        for k, w in enumerate(ws):
+            assert np.array_equal(problem.margin(w), w[i] + w[j] + lch)
+            geometry_lone = problem._boundary(w, 0.0)[1]
+            for batched, lone in zip(geometry, geometry_lone):
+                assert np.array_equal(batched[k], lone)
+            if k:
+                _, end_B, end_geometry = _segment_flux(problem, ws[k - 1], w)
+                assert np.array_equal(end_B, boundary_lengths(tri, l0, w))
+                for end, lone in zip(end_geometry, geometry_lone):
+                    assert np.array_equal(end, lone)
 
 
 def test_metric_round_trip(tmp_path, symmetric_l0):

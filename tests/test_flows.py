@@ -208,45 +208,72 @@ def _count_evaluations(monkeypatch):
 
 def _stepping_evaluations(monkeypatch, pants, symmetric_l0, spec):
     """(evaluations at w0, evaluations of the steps, trajectory) of a run from
-    w = 0 that rejects no step; the Newton pre-solve's are left out."""
+    w = 0 that rejects no step; the Newton pre-solve's and the initial
+    energy's are left out."""
     shapes = _count_evaluations(monkeypatch)
-    solve = flows._solve
-    start = []
+    solve, flux = flows._solve, flows._segment_flux
+    start, fluxes = [], []
 
-    def solve_unrecorded(*args, **kwargs):
+    def solve_recording_start(*args, **kwargs):
         start.extend(shapes)  # the field at w0, evaluated before the Newton pre-solve
-        report = solve(*args, **kwargs)
-        shapes.clear()  # the pre-solve is not stepping
-        return report
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(flows, "_solve", solve_unrecorded)
+    def flux_after_initial(*args, **kwargs):
+        result = flux(*args, **kwargs)
+        if not fluxes:
+            shapes.clear()  # the pre-solve and the initial energy are not stepping
+        fluxes.append(1)
+        return result
+
+    monkeypatch.setattr(flows, "_solve", solve_recording_start)
+    monkeypatch.setattr(flows, "_segment_flux", flux_after_initial)
     traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
     assert traj.status == "Converged" and traj.rejected_steps == 0
-    first = shapes.index((3,))
-    assert first >= 1 and all(len(shape) == 2 for shape in shapes[:first])  # initial energy
-    return start, shapes[first:], traj
+    return start, shapes, traj
 
 
-def test_each_step_evaluates_b_five_times(pants, symmetric_l0, monkeypatch):
-    """B at w0 once; then per accepted step: three RK4 stages, the field at
-    the step's end, and one 48-state batch for the energy quadrature's first
-    two levels.  No eigensolve runs."""
+def test_each_step_evaluates_b_four_times(pants, symmetric_l0, monkeypatch):
+    """B at w0 once; then per accepted step: three RK4 stages and one
+    49-state batch, the energy quadrature's first two levels with the step's
+    end as its last row.  No eigensolve runs."""
     start, steps, traj = _stepping_evaluations(
         monkeypatch, pants, symmetric_l0,
         FlowSpec(kind="fractional-calabi", targets=TARGETS, s=0.0))
     assert start == [(3,)]
-    assert steps == ([(3,)] * 4 + [(48, 3)]) * traj.accepted_steps
+    assert steps == ([(3,)] * 3 + [(49, 3)]) * traj.accepted_steps
 
 
-def test_each_exponential_step_evaluates_b_twice(pants, symmetric_l0, monkeypatch):
-    """s != 0: B, L and one eigensolve at w0; then per accepted step B, L and
-    one eigensolve at the step's end, which the next step starts from, and
-    the 48-state quadrature batch."""
+def test_each_exponential_step_evaluates_b_once(pants, symmetric_l0, monkeypatch):
+    """s != 0: B, L and one eigensolve at w0; then per accepted step the
+    49-state quadrature batch, whose last row is the step's end, and L and
+    one eigensolve there for the next step, none after the converging one."""
     start, steps, traj = _stepping_evaluations(
         monkeypatch, pants, symmetric_l0,
         FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0))
     assert start == [(3,), "eigh"]
-    assert steps == [(3,), "eigh", (48, 3)] * traj.accepted_steps
+    assert steps == [(49, 3), "eigh"] * (traj.accepted_steps - 1) + [(49, 3)]
+
+
+def test_eigensolves_only_at_accepted_states(monkeypatch):
+    """A run that rejects steps solves at w0 and at the end of every accepted
+    step but the converging one: never at a rejected trial end."""
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        solved.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    tri, l0 = instances.random_instance(np.random.default_rng(2))
+    n = tri.n_boundaries
+    spec = FlowSpec(kind="fractional-calabi", targets=np.full(n, 5.0), s=1.0, t_max=200.0)
+    traj = integrate(tri, l0, np.zeros(n), spec)
+    assert traj.status == "Converged" and traj.rejected_steps > 0
+    assert len(solved) == traj.accepted_steps
+    problem = Problem(tri, l0)
+    for a, w in zip(solved, traj.ws):
+        assert np.array_equal(a, -problem.evaluate(w)[1])
 
 
 def test_field_failure_at_start_propagates(pants, symmetric_l0, monkeypatch):

@@ -88,6 +88,40 @@ def test_jacobian_assembled_once_per_iteration(pants, symmetric_l0, monkeypatch)
     assert again.iterations == 0 and assemblies == []
 
 
+def test_each_trial_evaluates_b_in_its_armijo_batch(pants, symmetric_l0, monkeypatch):
+    """B at the start once; then one 49-state batch per Armijo trial that
+    reaches the quadrature, whose last row is the trial point, and no lone
+    evaluation: an accepted trial's B and geometry come from that row."""
+    shapes, trials = [], []
+    boundary, flux = Problem._boundary, newton._segment_flux
+
+    def counting(self, w, safety):
+        shapes.append(w.shape)
+        return boundary(self, w, safety)
+
+    def counting_flux(*args, **kwargs):
+        trials.append(1)
+        return flux(*args, **kwargs)
+
+    monkeypatch.setattr(Problem, "_boundary", counting)
+    monkeypatch.setattr(newton, "_segment_flux", counting_flux)
+    report = solve_prescribed(pants, symmetric_l0, np.array([0.8, 1.7, 2.4]))
+    assert shapes[0] == (3,) and shapes.count((3,)) == 1
+    assert shapes.count((49, 3)) == len(trials) == report.iterations
+    # with safety 0, seed 0, targets 30 rejects trials in the quadrature
+    # until it stalls (see test_zero_safety_rejects_a_trial_at_margin_zero)
+    tri, l0 = instances.random_instance(np.random.default_rng(0))
+    n = tri.n_boundaries
+    shapes.clear()
+    trials.clear()
+    with pytest.raises(LineSearchFailure) as exc:
+        solve_prescribed(tri, l0, np.full(n, 30.0), safety=0.0)
+    assert shapes[0] == (n,) and shapes.count((n,)) == 1
+    assert shapes.count((49, n)) == len(trials) > exc.value.report.iterations
+    # anything else is a refinement level k >= 2: 16 * 2^k states
+    assert all(s in ((49, n), (n,)) or (s[0] >= 64 and s[0] % 64 == 0) for s in shapes)
+
+
 def test_max_iterations_carries_partial_report(pants, symmetric_l0, monkeypatch):
     monkeypatch.setattr(newton, "MAX_ITERATIONS", 1)
     with pytest.raises(MaxIterations) as exc:
