@@ -69,6 +69,12 @@ def segment_flux(tri: IdealTriangulation, l0, start, end, targets=None, rtol=1e-
         return _segment_flux(problem, start, end, targets, rtol)[0]
 
 
+def _first_batch(start, end):
+    """The states of _segment_flux's first batch: the level-0 and level-1
+    nodes of the segment, then its end."""
+    return np.concatenate((start + _panel_nodes((0, 1))[:, None] * (end - start), end[None]))
+
+
 def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10):
     """(segment_flux, B(end), end's geometry; see Problem._boundary) on a
     checked problem, between two admissible factors.  Callers silence
@@ -76,8 +82,7 @@ def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10):
     delta = end - start
     t = 0.0 if targets is None else np.asarray(targets, dtype=float)
 
-    def flux(levels, *rows):
-        states = np.concatenate((start + _panel_nodes(levels)[:, None] * delta, *rows))
+    def flux(states):
         B, geometry, arcs = problem._boundary(states, 0.0)
         return (t - B) @ delta, geometry, arcs
 
@@ -85,10 +90,11 @@ def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10):
         panels = 2**level
         return float((level_flux.reshape(panels, -1) @ _gl_nodes(GL_POINTS)[1]).sum() / panels)
 
-    first, geometry, arcs = flux((0, 1), end[None])
+    first, geometry, arcs = flux(_first_batch(start, end))
     prev = total(first[:GL_POINTS], 0)
     for level in range(1, MAX_REFINEMENTS + 1):
-        current = total(first[GL_POINTS:-1] if level == 1 else flux((level,))[0], level)
+        current = total(first[GL_POINTS:-1] if level == 1
+                        else flux(start + _panel_nodes((level,))[:, None] * delta)[0], level)
         if abs(current - prev) <= rtol * max(1.0, abs(current)):
             # a lone evaluation sums B on the vector path, whose rounding a
             # batch row does not share

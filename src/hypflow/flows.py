@@ -119,16 +119,21 @@ def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
     problem = Problem(tri, l0)
     targets = _effective_targets(tri.n_boundaries, spec)
     with np.errstate(over="ignore"):
-        k, B = _field(problem, problem.check_factor(w), spec, targets)
-        if _exponential(spec):
-            lam, vecs = k
-            k = vecs @ (lam**spec.s * (vecs.T @ (B - targets)))
-    return k
+        return _velocity(*_field(problem, problem.check_factor(w), spec, targets), spec, targets)
 
 
 def _exponential(spec: FlowSpec) -> bool:
     """Whether the flow takes exponential steps: fractional-calabi, s != 0."""
     return spec.kind == FRACTIONAL_CALABI and spec.s != 0.0
+
+
+def _velocity(k, B, spec: FlowSpec, targets) -> np.ndarray:
+    """dw/dt from `_field`'s (k, B): k itself, or for the exponential flows
+    Delta^s (B - b) applied through the eigenpairs k."""
+    if _exponential(spec):
+        lam, vecs = k
+        return vecs @ (lam**spec.s * (vecs.T @ (B - targets)))
+    return k
 
 
 def _field(problem: Problem, w, spec: FlowSpec, targets, safety: float = 0.0):
@@ -159,7 +164,7 @@ class Trajectory:
 
     energies holds the flow's designated scalar per sample: lambda for
     fractional-calabi, xi for generalized-yamabe, the potential phi for guo
-    (energy_kind names it).
+    (energy_kind names it).  initial_speed is max |dw/dt| at w0.
     """
 
     spec: FlowSpec
@@ -173,6 +178,7 @@ class Trajectory:
     w_star: np.ndarray | None
     accepted_steps: int
     rejected_steps: int
+    initial_speed: float
 
     @property
     def n_samples(self) -> int:
@@ -217,6 +223,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
         # k1 at w is carried over from the end of each accepted step (first
         # same as last)
         k1, B = _field(problem, w, spec, targets, spec.safety)
+        initial_speed = float(np.abs(_velocity(k1, B, spec, targets)).max())
         if spec.kind == GUO:
             energy_kind, w_star, anchor = "phi", None, np.zeros(n)
         else:
@@ -291,7 +298,8 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     ts, ws, Bs, residuals, energies = (np.asarray(series) for series in zip(*samples))
     traj = Trajectory(spec=spec, ts=ts, ws=ws, Bs=Bs, residuals=residuals, energies=energies,
                       status=status, energy_kind=energy_kind, w_star=w_star,
-                      accepted_steps=accepted, rejected_steps=rejected)
+                      accepted_steps=accepted, rejected_steps=rejected,
+                      initial_speed=initial_speed)
     if status == GUARD_TRIGGERED:
         raise StepCollapse(f"step collapsed below {STEP_FLOOR} at t = {t:.6g}", trajectory=traj)
     return traj

@@ -4,9 +4,17 @@ Finding w* with B(w*) = b is the critical-point equation of the strictly
 convex psi, so Newton on grad psi = b - B with Hessian -L (symmetric positive
 definite) plus a backtracking line search is globally convergent.  Each trial
 step must keep every admissibility margin at or above `safety` and decrease
-psi by the Armijo fraction of the predicted slope; psi decrements are
-measured by the line-integral form (see the energy module) to avoid
-cancellation near the solution.
+psi by the Armijo fraction of the predicted slope (Nocedal & Wright,
+Numerical Optimization, ch. 3).
+
+Convexity certifies most trials from their end point alone.  Along the trial
+segment w + u dw, u in [0, 1], the slope g(u) = (b - B(w + u dw)) . dw of psi
+is nondecreasing, so psi(w + dw) - psi(w) = int_0^1 g <= g(1), and a trial
+whose g(1) meets the Armijo bound meets it.  Only a trial whose end slope
+does not settle it measures the decrement itself, by the line-integral form
+(see the energy module), which avoids cancellation near the solution.  A
+certified trial is still rejected where a state of that integral's first
+batch rounds to margin 0, as the integral would reject it.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Problem
-from .energy import _segment_flux
+from .energy import _first_batch, _segment_flux
 from .errors import EigSolveFailure, InadmissibleFactor, LineSearchFailure, MaxIterations
 from .triangulation import IdealTriangulation
 
@@ -84,23 +92,30 @@ def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
         alpha = 1.0
         while True:
             w_try = w + alpha * step
+            bound = ARMIJO * alpha * slope
             try:
-                # with safety 0, a margin at a quadrature node can round to
-                # exactly 0; that trial is rejected like one below the floor
-                problem.check_margin(w_try, safety)
-                trial = _segment_flux(problem, w, w_try, targets, rtol=1e-12)
-                if trial[0] <= ARMIJO * alpha * slope:
+                # the trial's margins at the safety floor, then B there
+                B_try, geometry_try, _ = problem._boundary(w_try, safety)
+                if (targets - B_try) @ (w_try - w) <= bound:
+                    # with safety 0, a margin at a quadrature node can round
+                    # to exactly 0; that trial is rejected like one below the
+                    # floor, certified or not
+                    problem.check_margin(_first_batch(w, w_try))
+                    break
+                if _segment_flux(problem, w, w_try, targets, rtol=1e-12)[0] <= bound:
                     break
             except InadmissibleFactor:
                 pass
             alpha *= 0.5
             if alpha < ALPHA_FLOOR:
+                margin = problem.margin(w)
+                edge = int(np.argmin(margin))
                 raise LineSearchFailure(
-                    f"backtracking stalled at iteration {iterations} (residual {residual:.3e})",
+                    f"backtracking stalled at iteration {iterations} (residual {residual:.3e}; "
+                    f"edge {edge} at margin {margin[edge]:.3e})",
                     report=SolveReport(w, iterations, residual, False),
                 )
-        # the trial's B and geometry, the last row of its quadrature batch
-        w, (_, B, geometry) = w_try, trial
+        w, B, geometry = w_try, B_try, geometry_try
         residual = float(np.max(np.abs(B - targets)))
         iterations += 1
     return SolveReport(w, iterations, residual, True)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hypflow import instances
+from hypflow import cli, flows, instances
 from hypflow.cli import main
 from hypflow.conformal import boundary_lengths, save_metric
 from hypflow.newton import solve_prescribed
@@ -311,6 +311,29 @@ def test_compare_variants(pants_mesh, tmp_path):
 
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("kind,param,status")
+
+
+def test_compare_reads_initial_speed_from_the_trajectory(pants_mesh, tmp_path, monkeypatch):
+    # compare used to evaluate the field at w0 again per variant, through
+    # vector_field, only to report initial_speed
+    json_path = tmp_path / "cmp.json"
+
+    def unused(*args):
+        raise AssertionError("compare evaluated vector_field")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "vector_field", unused)
+        patch.setattr(cli, "vector_field", unused, raising=False)
+        assert main(["compare", "--mesh", pants_mesh, "--targets", "0.8,1.7,2.4",
+                     "--w0", "0.5,0.1,0.3", "--s=-1,0,0.5", "--p=0,1.5",
+                     "--out-json", str(json_path)]) == 0
+    w0 = np.array([0.5, 0.1, 0.3])
+    for row in json.loads(json_path.read_text())["variants"]:
+        param = "s" if row["kind"] == flows.FRACTIONAL_CALABI else "p"
+        spec = flows.FlowSpec(kind=row["kind"], targets=[0.8, 1.7, 2.4], **{param: row["param"]})
+        field = flows.vector_field(instances.pair_of_pants(),
+                                   np.full(3, instances.PANTS_EDGE_LENGTH), w0, spec)
+        assert row["initial_speed"] == float(np.max(np.abs(field)))
 
 
 def test_compare_requires_variants(pants_mesh):

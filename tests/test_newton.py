@@ -1,11 +1,13 @@
 """Damped Newton solver for prescribed boundary lengths."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hypflow import instances, newton
 from hypflow.conformal import Problem, admissibility_margin, boundary_lengths
-from hypflow.errors import LineSearchFailure, MaxIterations
+from hypflow.errors import InadmissibleFactor, LineSearchFailure, MaxIterations, NonFinite
 from hypflow.newton import solve_prescribed
 
 
@@ -89,37 +91,87 @@ def test_jacobian_assembled_once_per_iteration(pants, symmetric_l0, monkeypatch)
 
 
 def test_each_trial_evaluates_b_in_its_armijo_batch(pants, symmetric_l0, monkeypatch):
-    """B at the start once; then one 49-state batch per Armijo trial that
-    reaches the quadrature, whose last row is the trial point, and no lone
-    evaluation: an accepted trial's B and geometry come from that row."""
-    shapes, trials = [], []
-    boundary, flux = Problem._boundary, newton._segment_flux
+    """B at the start once; then one lone evaluation per Armijo trial, which
+    raises below the safety floor.  A trial whose end slope certifies it
+    checks its first-batch nodes' margins; any other runs the quadrature,
+    whose 49-state batch follows the trial's lone evaluation.  An accepted
+    trial's B and geometry come from that lone evaluation."""
+    log = []
+    boundary, flux, first_batch = Problem._boundary, newton._segment_flux, newton._first_batch
 
     def counting(self, w, safety):
-        shapes.append(w.shape)
-        return boundary(self, w, safety)
+        n = self.tri.n_boundaries
+        try:
+            out = boundary(self, w, safety)
+        except InadmissibleFactor:
+            log.append("x" if w.shape == (n,) else "!")
+            raise
+        # b: a lone state, Q: the 49-state batch, r: a refinement level k >= 2
+        log.append({(n,): "b", (49, n): "Q"}.get(w.shape, "r" if w.shape[0] % 64 == 0 else "?"))
+        return out
 
     def counting_flux(*args, **kwargs):
-        trials.append(1)
+        log.append("q")
         return flux(*args, **kwargs)
+
+    def counting_first_batch(*args):
+        log.append("c")
+        return first_batch(*args)
 
     monkeypatch.setattr(Problem, "_boundary", counting)
     monkeypatch.setattr(newton, "_segment_flux", counting_flux)
+    monkeypatch.setattr(newton, "_first_batch", counting_first_batch)
     report = solve_prescribed(pants, symmetric_l0, np.array([0.8, 1.7, 2.4]))
-    assert shapes[0] == (3,) and shapes.count((3,)) == 1
-    assert shapes.count((49, 3)) == len(trials) == report.iterations
-    # with safety 0, seed 0, targets 30 rejects trials in the quadrature
-    # until it stalls (see test_zero_safety_rejects_a_trial_at_margin_zero)
+    events = "".join(log)
+    trials = re.findall(r"x|bc|bqQr*", events[1:])
+    assert events[0] == "b" and "".join(trials) == events[1:]
+    # every trial is accepted here, most of them by their end slope alone
+    assert len(trials) == report.iterations > 2 * trials.count("bqQ")
+    assert trials.count("bqQ") >= 1
+    # with safety 0, seed 0, targets 30 rejects trials below the floor and
+    # in the node check until it stalls (see
+    # test_zero_safety_rejects_a_trial_at_margin_zero)
     tri, l0 = instances.random_instance(np.random.default_rng(0))
-    n = tri.n_boundaries
-    shapes.clear()
-    trials.clear()
+    log.clear()
     with pytest.raises(LineSearchFailure) as exc:
-        solve_prescribed(tri, l0, np.full(n, 30.0), safety=0.0)
-    assert shapes[0] == (n,) and shapes.count((n,)) == 1
-    assert shapes.count((49, n)) == len(trials) > exc.value.report.iterations
-    # anything else is a refinement level k >= 2: 16 * 2^k states
-    assert all(s in ((49, n), (n,)) or (s[0] >= 64 and s[0] % 64 == 0) for s in shapes)
+        solve_prescribed(tri, l0, np.full(tri.n_boundaries, 30.0), safety=0.0)
+    events = "".join(log)
+    trials = re.findall(r"x|bc|bqQr*", events[1:])
+    assert events[0] == "b" and "".join(trials) == events[1:]
+    assert len(trials) > exc.value.report.iterations
+    assert {"x", "bc", "bqQ"} <= set(trials)
+
+
+def test_certified_trials_meet_armijo_by_quadrature():
+    """Whenever a trial's end slope g(1) certifies the Armijo decrease (and
+    its first-batch nodes are admissible), the quadrature meets it too: by
+    convexity the decrement is at most g(1)."""
+    rng = np.random.default_rng(12)
+    trials = 0
+    with np.errstate(over="ignore"):
+        while trials < 1000:
+            tri, l0 = instances.random_instance(rng)
+            problem = Problem(tri, l0)
+            n = tri.n_boundaries
+            w = instances.random_admissible_factor(rng, tri, l0)
+            targets = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
+            B, geometry, _ = problem._boundary(w, 0.0)
+            step = np.linalg.solve(-problem._jacobian(*geometry), B - targets)
+            slope = float((targets - B) @ step)
+            for alpha in (1.0, 0.5, 0.25):
+                w_try = w + alpha * step
+                try:
+                    B_try = problem._boundary(w_try, 0.0)[0]
+                    bound = newton.ARMIJO * alpha * slope
+                    end_slope = (targets - B_try) @ (w_try - w)
+                    if end_slope > bound:
+                        continue
+                    problem.check_margin(newton._first_batch(w, w_try))
+                except (InadmissibleFactor, NonFinite):
+                    continue
+                trials += 1
+                flux = newton._segment_flux(problem, w, w_try, targets, rtol=1e-12)[0]
+                assert flux <= end_slope <= bound
 
 
 def test_max_iterations_carries_partial_report(pants, symmetric_l0, monkeypatch):
@@ -170,3 +222,13 @@ def test_zero_safety_rejects_a_trial_at_margin_zero():
         solve_prescribed(tri, l0, np.full(tri.n_boundaries, 60.0), safety=0.0)
     assert np.all(admissibility_margin(tri, l0, exc.value.report.w_star) > 0)
 
+
+
+def test_line_search_failure_names_the_closest_edge():
+    # the default floor pins this iterate at edge 0, whose margin sits at the floor
+    tri, l0 = instances.random_instance(np.random.default_rng(0))
+    with pytest.raises(LineSearchFailure) as exc:
+        solve_prescribed(tri, l0, np.full(tri.n_boundaries, 30.0))
+    assert str(exc.value) == ("backtracking stalled at iteration 31 (residual 1.147e+01; "
+                              "edge 0 at margin 1.000e-06)")
+    assert np.argmin(admissibility_margin(tri, l0, exc.value.report.w_star)) == 0
