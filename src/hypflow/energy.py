@@ -59,10 +59,15 @@ def segment_flux(tri: IdealTriangulation, l0, start, end, targets=None, rtol=1e-
     with targets = b it is psi(end) - psi(start).  Composite Gauss-Legendre
     on 2^k panels, doubling k until two levels agree to rtol (relative,
     floored at magnitude 1) within MAX_REFINEMENTS doublings.  Levels 0 and
-    1, where nearly every segment stops, are one batch.
+    1, where nearly every segment stops, are one batch.  ValueError unless
+    targets, when given, are finite with one entry per boundary.
     """
     problem = Problem(tri, l0)
     start, end = problem.check_factor(start), problem.check_factor(end)
+    if targets is not None:
+        targets = np.asarray(targets, dtype=float)
+        if targets.shape != (tri.n_boundaries,) or not np.all(np.isfinite(targets)):
+            raise ValueError(f"targets must be finite with shape ({tri.n_boundaries},)")
     problem.check_margin(start)
     problem.check_margin(end)
     with np.errstate(over="ignore"):

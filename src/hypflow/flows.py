@@ -13,20 +13,21 @@ tolerance or the time budget.
 Guo's field is the s = 0 field with b = 0, and its potential phi is psi at
 b = 0, so all three run through one integrator with guo's targets set to 0.
 
-Fractional-calabi with s != 0 takes exponential Rosenbrock-Euler steps
-(Hochbruck & Ostermann, Exponential integrators, Acta Numerica 2010).  Its
-field linearizes to -Delta^(s+1), and with Delta = V diag(lambda) V^T at the
+Every flow takes exponential Rosenbrock-Euler steps (Hochbruck & Ostermann,
+Exponential integrators, Acta Numerica 2010).  With G = diag(g), g = 1 for
+fractional-calabi and guo, each field linearizes to -G Delta^e, e = s + 1
+for fractional-calabi and e = 1 otherwise.  G Delta is similar to the
+symmetric G^(1/2) Delta G^(1/2) = U diag(mu) U^T, and with (mu, U) at the
 step's start the step is
 
-    w_new = w + V diag(-expm1(-h lambda^(s+1)) / lambda) V^T (B - b),
+    w_new = w - G^(1/2) U diag(expm1(-h mu^e) / mu) U^T G^(1/2) (B - b),
 
-exact on that linearization at any h and the Newton step as h -> inf.  The
-other flows take classical RK4 steps.  A proposal is rejected when any stage
-or the result drops an admissibility margin below `safety`, when a kernel
-leaves double range, or when the flow's Lyapunov value would increase
-(lambda for fractional-calabi, xi for generalized-yamabe, none for guo); the
-step then halves.  After five consecutive accepts the step grows by 1.5x,
-capped at its initial value.
+exact on that linearization at any h and the Newton step as h -> inf.  A
+proposal is rejected when the result drops an admissibility margin below
+`safety`, when a kernel leaves double range, or when the flow's Lyapunov
+value would increase (lambda for fractional-calabi, xi for
+generalized-yamabe, none for guo); the step then halves.  After five
+consecutive accepts the step grows by 1.5x, capped at its initial value.
 
 Lyapunov values are tracked incrementally: the psi part of each increment is
 a line integral over the step segment (short, and by convexity at least
@@ -34,13 +35,14 @@ a line integral over the step segment (short, and by convexity at least
 exact), which keeps the recorded energies meaningful down to the convergence
 floor where differencing two absolute potentials would return pure rounding
 noise.  The step's end is the last row of the integral's first batch, its
-only evaluation of B; an exponential step adds L and an eigendecomposition
-there once accepted and unconverged, for the next step, and RK4 three stages.
+only evaluation of B; L and an eigendecomposition follow there once the
+step is accepted and unconverged, for the next step.
 
 The recorded energy is the flow's own Lyapunov value, anchored at the
-critical point w* found by the Newton solver (for guo, the potential phi
-anchored at w = 0); the rejection test itself only uses increments and never
-consults w*, so the flow dynamics stay independent of the solver.
+critical point w* that the Newton solver finds from w0 (for guo, the
+potential phi anchored at w = 0); the rejection test itself only uses
+increments and never consults w*, so the flow dynamics stay independent of
+the solver.
 """
 
 from __future__ import annotations
@@ -119,43 +121,32 @@ def vector_field(tri: IdealTriangulation, l0, w, spec: FlowSpec) -> np.ndarray:
     problem = Problem(tri, l0)
     targets = _effective_targets(tri.n_boundaries, spec)
     with np.errstate(over="ignore"):
-        return _velocity(*_field(problem, problem.check_factor(w), spec, targets), spec, targets)
+        B, geometry, _ = problem._boundary(problem.check_factor(w), 0.0)
+        return _velocity(B, _operator(problem, B, geometry, spec, targets), spec, targets)
 
 
-def _exponential(spec: FlowSpec) -> bool:
-    """Whether the flow takes exponential steps: fractional-calabi, s != 0."""
-    return spec.kind == FRACTIONAL_CALABI and spec.s != 0.0
-
-
-def _velocity(k, B, spec: FlowSpec, targets) -> np.ndarray:
-    """dw/dt from `_field`'s (k, B): k itself, or for the exponential flows
-    Delta^s (B - b) applied through the eigenpairs k."""
-    if _exponential(spec):
-        lam, vecs = k
-        return vecs @ (lam**spec.s * (vecs.T @ (B - targets)))
-    return k
-
-
-def _field(problem: Problem, w, spec: FlowSpec, targets, safety: float = 0.0):
-    """(k, B) at w, k as `_direction` gives it; InadmissibleFactor if a margin
-    is below safety.  Callers silence overflow warnings."""
-    B, geometry, _ = problem._boundary(w, safety)
-    return _direction(problem, B, geometry, spec, targets), B
-
-
-def _direction(problem: Problem, B, geometry, spec: FlowSpec, targets):
-    """dw/dt from B and its geometry (see Problem._boundary), or for the
-    exponential flows the eigenpairs (lambda, V) of Delta = -L.  targets are
-    the effective ones (zeros for guo, whose field B is the s = 0 field)."""
-    if _exponential(spec):
-        return _power(problem._jacobian(*geometry), spec.s)
-    diff = B - targets
+def _scale(B, spec: FlowSpec, targets) -> np.ndarray:
+    """g, the field's diagonal factor: 1 except for generalized-yamabe."""
     if spec.kind == GENERALIZED_YAMABE:
-        g = ((2.0 - spec.p) * B + spec.p * targets) / B ** (spec.p + 1.0)
-        return g * diff
-    # the zero power is the identity; skipping the eigensolver keeps the
-    # s = 0 field exact
-    return diff
+        return ((2.0 - spec.p) * B + spec.p * targets) / B ** (spec.p + 1.0)
+    return np.ones_like(B)
+
+
+def _velocity(B, operator, spec: FlowSpec, targets) -> np.ndarray:
+    """dw/dt from B and `_operator` at the same state: g (B - b), or for
+    fractional-calabi with s != 0, Delta^s (B - b) through Delta's eigenpairs."""
+    if spec.kind == FRACTIONAL_CALABI and spec.s != 0.0:
+        _, lam, vecs = operator
+        return vecs @ (lam**spec.s * (vecs.T @ (B - targets)))
+    return _scale(B, spec, targets) * (B - targets)
+
+
+def _operator(problem: Problem, B, geometry, spec: FlowSpec, targets):
+    """(G^(1/2), mu, U) at a state: the square root of the field's factor g and
+    the eigenpairs of G^(1/2) Delta G^(1/2), the step's operator."""
+    root = np.sqrt(_scale(B, spec, targets))
+    L = root[:, None] * problem._jacobian(*geometry) * root
+    return (root, *_power(L, spec.s if spec.kind == FRACTIONAL_CALABI else 0.0))
 
 
 @dataclass
@@ -186,8 +177,13 @@ class Trajectory:
 
 
 def _effective_targets(n: int, spec: FlowSpec) -> np.ndarray:
-    """b, or zeros for guo: its field and potential are those at b = 0."""
-    return np.zeros(n) if spec.kind == GUO else spec.targets
+    """b, or zeros for guo: its field and potential are those at b = 0.
+    ValueError unless b has one entry per boundary."""
+    if spec.kind == GUO:
+        return np.zeros(n)
+    if spec.targets.shape != (n,):
+        raise ValueError(f"targets must have shape ({n},), got {spec.targets.shape}")
+    return spec.targets
 
 
 def _penalty(B, spec: FlowSpec, targets) -> float:
@@ -203,32 +199,30 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     """Run the flow from w0 until tolerance, time budget, or guard failure.
 
     Raises StepCollapse (carrying the partial trajectory, status
-    GuardTriggered) if halving pushes the step below 1e-12.  The field is
-    evaluated at w0 once, before anything else: a start below `safety`
-    raises InadmissibleFactor, and a field that fails there (NonFinite,
-    EigSolveFailure) propagates.  The target-seeking flows then
-    solve for w* once to anchor the recorded Lyapunov values; solver
-    failures propagate.
+    GuardTriggered) if halving pushes the step below 1e-12.  The field and
+    the step's operator are evaluated at w0 once, before anything else: a
+    start below `safety` raises InadmissibleFactor, and a field that fails
+    there (NonFinite, EigSolveFailure) propagates.  The target-seeking flows
+    then solve for w* once, from w0, to anchor the recorded Lyapunov values;
+    solver failures propagate.
     """
     problem = Problem(tri, l0)
     w = problem.check_factor(w0)
     n = tri.n_boundaries
     targets = _effective_targets(n, spec)
-    if targets.shape != (n,):
-        raise ValueError(f"targets must have shape ({n},), got {targets.shape}")
+    exponent = spec.s + 1.0 if spec.kind == FRACTIONAL_CALABI else 1.0
 
     # trial states may overflow the kernels, which check for it themselves
     with np.errstate(over="ignore"):
-        exponential = _exponential(spec)
-        # k1 at w is carried over from the end of each accepted step (first
-        # same as last)
-        k1, B = _field(problem, w, spec, targets, spec.safety)
-        initial_speed = float(np.abs(_velocity(k1, B, spec, targets)).max())
+        B, geometry, _ = problem._boundary(w, spec.safety)
+        # the operator at w is carried over from the end of each accepted step
+        operator = _operator(problem, B, geometry, spec, targets)
+        initial_speed = float(np.abs(_velocity(B, operator, spec, targets)).max())
         if spec.kind == GUO:
             energy_kind, w_star, anchor = "phi", None, np.zeros(n)
         else:
             energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
-            w_star = anchor = _solve(problem, targets, np.zeros(n), tol=1e-10, safety=1e-6).w_star
+            w_star = anchor = _solve(problem, targets, w.copy(), tol=1e-10, safety=1e-6).w_star
         penalty = _penalty(B, spec, targets)
         energy = _segment_flux(problem, anchor, w, targets)[0] + penalty
         residual = float(np.abs(B - targets).max())
@@ -249,16 +243,9 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             h_try = min(h, spec.t_max - t)
 
             try:
-                if exponential:
-                    lam, vecs = k1
-                    w_new = w - vecs @ (np.expm1(-h_try * lam ** (spec.s + 1.0)) / lam
-                                        * (vecs.T @ (B - targets)))
-                else:
-                    # a stage below the safety floor raises InadmissibleFactor
-                    k2 = _field(problem, w + 0.5 * h_try * k1, spec, targets, spec.safety)[0]
-                    k3 = _field(problem, w + 0.5 * h_try * k2, spec, targets, spec.safety)[0]
-                    k4 = _field(problem, w + h_try * k3, spec, targets, spec.safety)[0]
-                    w_new = w + (h_try / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                root, mu, vecs = operator
+                w_new = w - root * (vecs @ (np.expm1(-h_try * mu**exponent) / mu
+                                            * (vecs.T @ (root * (B - targets)))))
                 # the quadrature checks its nodes at margin 0 only
                 problem.check_margin(w_new, spec.safety)
                 flux, B_new, geometry = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
@@ -270,10 +257,10 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 delta_energy = flux + penalty_new - penalty
                 accept = spec.kind == GUO or not delta_energy > 0.0
                 residual_new = float(np.abs(B_new - targets).max())
-                # the field at the end, which the next step starts from, only
-                # for an accepted step that leaves one to take
-                k1_new = (_direction(problem, B_new, geometry, spec, targets)
-                          if accept and residual_new >= spec.tol else None)
+                # the operator at the end, which the next step starts from,
+                # only for an accepted step that leaves one to take
+                operator_new = (_operator(problem, B_new, geometry, spec, targets)
+                                if accept and residual_new >= spec.tol else None)
             except (InadmissibleFactor, NonFinite, EigSolveFailure):
                 accept = False
 
@@ -283,7 +270,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 h = h_try / 2.0
                 continue
 
-            w, B, k1, penalty, residual = w_new, B_new, k1_new, penalty_new, residual_new
+            w, B, operator, penalty, residual = w_new, B_new, operator_new, penalty_new, residual_new
             t += h_try
             energy = energy + delta_energy
             samples.append((t, w, B, residual, energy))

@@ -4,7 +4,9 @@ L[i, j] = dB_i/dw_j is assembled by `conformal.Problem.evaluate`.  L is
 symmetric, diagonally dominant and negative definite on the admissible set,
 which makes Delta = -L symmetric positive definite and its real powers well
 defined through the orthogonal eigendecomposition
-Delta^s = Q diag(lambda^s) Q^T.
+Delta^s = Q diag(lambda^s) Q^T.  So is G^(1/2) Delta G^(1/2) for a positive
+diagonal G, whose eigenpairs every flow step takes from `_power` (see the
+flows module).
 """
 
 from __future__ import annotations

@@ -144,6 +144,15 @@ def test_segment_flux_validates_endpoints(pants, symmetric_l0):
         segment_flux(pants, symmetric_l0, np.full(3, -1.0), np.zeros(3))
 
 
+def test_segment_flux_validates_targets(pants, symmetric_l0, monkeypatch):
+    # a NaN target refined the quadrature to its last level, 16.8M states;
+    # the small budget makes a missing check fail fast instead
+    monkeypatch.setattr(energy, "MAX_REFINEMENTS", 3)
+    for targets in ([1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], np.ones((1, 3))):
+        with pytest.raises(ValueError, match="targets"):
+            segment_flux(pants, symmetric_l0, np.zeros(3), np.full(3, 0.5), targets)
+
+
 def test_quadrature_stall_is_detectable(pants, symmetric_l0, monkeypatch):
     # a budget of zero refinements never produces two agreeing levels
     monkeypatch.setattr(energy, "MAX_REFINEMENTS", 0)
