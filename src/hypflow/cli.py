@@ -28,6 +28,7 @@ from .errors import (
     MaxIterations,
     MeshFormatError,
     NonFinite,
+    QuadratureStall,
     StepCollapse,
 )
 from .flows import (
@@ -191,7 +192,8 @@ def _run_flow(tri, l0, w0, spec: FlowSpec, name: str):
     except StepCollapse as exc:
         traj = exc.trajectory
         print(f"step collapse: {exc}", file=sys.stderr)
-    except (InadmissibleFactor, NonFinite, EigSolveFailure, MaxIterations, LineSearchFailure) as exc:
+    except (InadmissibleFactor, NonFinite, EigSolveFailure, MaxIterations, LineSearchFailure,
+            QuadratureStall) as exc:
         _fail(1, f"{name} failed: {exc}")
         return None
     try:
@@ -250,7 +252,10 @@ def cmd_flow(args) -> int:
         }
     )
     if args.out_csv:
-        write_trajectory_csv(traj, args.out_csv)
+        try:  # the CSV's energies are computed here, on first read
+            write_trajectory_csv(traj, args.out_csv)
+        except (QuadratureStall, InadmissibleFactor, NonFinite) as exc:
+            return _fail(1, f"flow failed: {exc}")
     if args.out_json:
         _write_json(args.out_json, report)
     rate, r_squared = fields["decay_rate"], fields["decay_r_squared"]
@@ -272,7 +277,7 @@ def cmd_solve(args) -> int:
         solve = exc.report
         code = 1
         print(f"solver stopped early: {exc}", file=sys.stderr)
-    except EigSolveFailure as exc:
+    except (EigSolveFailure, QuadratureStall) as exc:
         return _fail(1, f"solver failed: {exc}")
     except ValueError as exc:
         return _fail(2, str(exc))

@@ -20,8 +20,8 @@ psi(w) - psi(w*) is always evaluated as one line integral from w* to w,
 never as a difference of two potentials: near w* both potentials are O(1)
 while the gap is O(|w - w*|^2), and the subtraction would drown it in
 rounding noise.  The line integrals stop when two quadrature levels agree,
-and raise QuadratureStall when MAX_REFINEMENTS doublings never do.  The
-first batch carries the end as its last row, for callers that need B there.
+and raise QuadratureStall when MAX_REFINEMENTS doublings never do.  Steps
+whose end slope settles their test by convexity skip them (`_descends`).
 """
 
 from __future__ import annotations
@@ -71,41 +71,50 @@ def segment_flux(tri: IdealTriangulation, l0, start, end, targets=None, rtol=1e-
     problem.check_margin(start)
     problem.check_margin(end)
     with np.errstate(over="ignore"):
-        return _segment_flux(problem, start, end, targets, rtol)[0]
+        return _segment_flux(problem, start, end, targets, rtol)
 
 
 def _first_batch(start, end):
     """The states of _segment_flux's first batch: the level-0 and level-1
-    nodes of the segment, then its end."""
-    return np.concatenate((start + _panel_nodes((0, 1))[:, None] * (end - start), end[None]))
+    nodes of the segment."""
+    return start + _panel_nodes((0, 1))[:, None] * (end - start)
 
 
-def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10):
-    """(segment_flux, B(end), end's geometry; see Problem._boundary) on a
-    checked problem, between two admissible factors.  Callers silence
-    overflow warnings, as for Problem's private methods."""
+def _segment_flux(problem: Problem, start, end, targets=None, rtol=1e-10) -> float:
+    """segment_flux on a checked problem, between two admissible factors.
+    Callers silence overflow warnings, as for Problem's private methods."""
     delta = end - start
     t = 0.0 if targets is None else np.asarray(targets, dtype=float)
 
     def flux(states):
-        B, geometry, arcs = problem._boundary(states, 0.0)
-        return (t - B) @ delta, geometry, arcs
+        return (t - problem._boundary(states, 0.0)[0]) @ delta
 
     def total(level_flux, level):
         panels = 2**level
         return float((level_flux.reshape(panels, -1) @ _gl_nodes(GL_POINTS)[1]).sum() / panels)
 
-    first, geometry, arcs = flux(_first_batch(start, end))
+    first = flux(_first_batch(start, end))
     prev = total(first[:GL_POINTS], 0)
     for level in range(1, MAX_REFINEMENTS + 1):
-        current = total(first[GL_POINTS:-1] if level == 1
-                        else flux(start + _panel_nodes((level,))[:, None] * delta)[0], level)
+        current = total(first[GL_POINTS:] if level == 1
+                        else flux(start + _panel_nodes((level,))[:, None] * delta), level)
         if abs(current - prev) <= rtol * max(1.0, abs(current)):
-            # a lone evaluation sums B on the vector path, whose rounding a
-            # batch row does not share
-            return current, arcs[-1] @ problem.tri.corner_scatter, tuple(g[-1] for g in geometry)
+            return current
         prev = current
     raise QuadratureStall(f"no agreement to rtol={rtol} after {MAX_REFINEMENTS} refinements")
+
+
+def _descends(problem: Problem, start, end, B_end, targets, accept) -> bool:
+    """Whether accept(psi(end) - psi(start)) holds, psi taken at targets, for
+    an accept that holds at any smaller value too.  By convexity the increment
+    is at most the end slope (targets - B_end) . (end - start), B_end being B
+    at end; an accepted end slope settles it once the first batch's nodes pass
+    check_margin at margin 0 (InadmissibleFactor otherwise, as the quadrature
+    would raise), and any other step integrates the increment to rtol 1e-12."""
+    if accept((targets - B_end) @ (end - start)):
+        problem.check_margin(_first_batch(start, end))
+        return True
+    return accept(_segment_flux(problem, start, end, targets, rtol=1e-12))
 
 
 def c_value(B, targets) -> float:

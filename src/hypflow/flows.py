@@ -29,30 +29,32 @@ value would increase (lambda for fractional-calabi, xi for
 generalized-yamabe, none for guo); the step then halves.  After five
 consecutive accepts the step grows by 1.5x, capped at its initial value.
 
-Lyapunov values are tracked incrementally: the psi part of each increment is
-a line integral over the step segment (short, and by convexity at least
-`safety` away from the admissible boundary, so the quadrature is effectively
-exact), which keeps the recorded energies meaningful down to the convergence
-floor where differencing two absolute potentials would return pure rounding
-noise.  The step's end is the last row of the integral's first batch, its
-only evaluation of B; L and an eigendecomposition follow there once the
-step is accepted and unconverged, for the next step.
+A step evaluates B once, at its end; L and an eigendecomposition follow
+there once the step is accepted and unconverged, for the next step.  The
+Lyapunov test needs no quadrature where convexity settles it: psi rises
+over the step by at most the end slope g(1) = (b - B_new) . (w_new - w), so
+g(1) + dC <= 0 (dY for generalized-yamabe) certifies it, and only the other
+steps integrate psi's increment (energy._descends).
 
-The recorded energy is the flow's own Lyapunov value, anchored at the
-critical point w* that the Newton solver finds from w0 (for guo, the
-potential phi anchored at w = 0); the rejection test itself only uses
-increments and never consults w*, so the flow dynamics stay independent of
-the solver.
+The recorded energies are computed on first read, one line integral per
+step (short, and by convexity at least `safety` away from the admissible
+boundary, so the quadrature is effectively exact), which keeps them
+meaningful down to the convergence floor where differencing two absolute
+potentials would return pure rounding noise.  They are the flow's own
+Lyapunov value, anchored at the critical point w* that the Newton solver
+finds from w0 (for guo, the potential phi anchored at w = 0); the rejection
+test never consults w*, so the flow dynamics stay independent of the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .conformal import Problem
-from .energy import _segment_flux, c_value, upsilon_value
+from .energy import _descends, _segment_flux, c_value, upsilon_value
 from .errors import (
     EigSolveFailure,
     InadmissibleFactor,
@@ -155,7 +157,9 @@ class Trajectory:
 
     energies holds the flow's designated scalar per sample: lambda for
     fractional-calabi, xi for generalized-yamabe, the potential phi for guo
-    (energy_kind names it).  initial_speed is max |dw/dt| at w0.
+    (energy_kind names it).  It is computed on first read and then kept; the
+    read raises QuadratureStall where a line integral does not settle.
+    initial_speed is max |dw/dt| at w0; problem is the checked instance.
     """
 
     spec: FlowSpec
@@ -163,17 +167,34 @@ class Trajectory:
     ws: np.ndarray
     Bs: np.ndarray
     residuals: np.ndarray
-    energies: np.ndarray
     status: str
     energy_kind: str
     w_star: np.ndarray | None
     accepted_steps: int
     rejected_steps: int
     initial_speed: float
+    problem: Problem
 
     @property
     def n_samples(self) -> int:
         return len(self.ts)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """The anchor's gap to w0, then per step the lesser of psi's integrated
+        increment and end slope (at most what the step's test accepted), plus
+        the penalty's change."""
+        targets = _effective_targets(self.ws.shape[1], self.spec)
+        anchor = np.zeros_like(targets) if self.w_star is None else self.w_star
+        penalties = [_penalty(B, self.spec, targets) for B in self.Bs]
+        with np.errstate(over="ignore"):
+            energies = [_segment_flux(self.problem, anchor, self.ws[0], targets) + penalties[0]]
+            for k in range(1, self.n_samples):
+                w, w_new = self.ws[k - 1], self.ws[k]
+                flux = _segment_flux(self.problem, w, w_new, targets, rtol=1e-12)
+                slope = (targets - self.Bs[k]) @ (w_new - w)
+                energies.append(energies[-1] + (min(flux, slope) + penalties[k] - penalties[k - 1]))
+        return np.asarray(energies)
 
 
 def _effective_targets(n: int, spec: FlowSpec) -> np.ndarray:
@@ -204,7 +225,8 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
     start below `safety` raises InadmissibleFactor, and a field that fails
     there (NonFinite, EigSolveFailure) propagates.  The target-seeking flows
     then solve for w* once, from w0, to anchor the recorded Lyapunov values;
-    solver failures propagate.
+    w* does not depend on `safety`, so that solve keeps margins above 0
+    only.  Solver failures propagate.
     """
     problem = Problem(tri, l0)
     w = problem.check_factor(w0)
@@ -219,16 +241,15 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
         operator = _operator(problem, B, geometry, spec, targets)
         initial_speed = float(np.abs(_velocity(B, operator, spec, targets)).max())
         if spec.kind == GUO:
-            energy_kind, w_star, anchor = "phi", None, np.zeros(n)
+            energy_kind, w_star = "phi", None
         else:
             energy_kind = "lambda" if spec.kind == FRACTIONAL_CALABI else "xi"
-            w_star = anchor = _solve(problem, targets, w.copy(), tol=1e-10, safety=1e-6).w_star
+            w_star = _solve(problem, targets, w.copy(), tol=1e-10, safety=0.0).w_star
         penalty = _penalty(B, spec, targets)
-        energy = _segment_flux(problem, anchor, w, targets)[0] + penalty
         residual = float(np.abs(B - targets).max())
-        # (t, w, B, residual, energy) per sample; w and B are never modified
-        # in place, so they are held uncopied
-        samples = [(0.0, w, B, residual, energy)]
+        # (t, w, B, residual) per sample; w and B are never modified in
+        # place, so they are held uncopied
+        samples = [(0.0, w, B, residual)]
         accepted = rejected = consecutive = 0
         h = spec.step
         t = 0.0
@@ -246,16 +267,12 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
                 root, mu, vecs = operator
                 w_new = w - root * (vecs @ (np.expm1(-h_try * mu**exponent) / mu
                                             * (vecs.T @ (root * (B - targets)))))
-                # the quadrature checks its nodes at margin 0 only
-                problem.check_margin(w_new, spec.safety)
-                flux, B_new, geometry = _segment_flux(problem, w, w_new, targets, rtol=1e-12)
-                # Lyapunov change over the step (the phi increment for guo);
-                # the target-seeking flows reject any increase, and the energy
-                # is recorded with this exact quantity so the stored sequence
-                # is non-increasing in float arithmetic too
+                B_new, geometry, _ = problem._boundary(w_new, spec.safety)
+                # the target-seeking flows reject a rise of the Lyapunov value;
+                # guo, which has none, only checks the nodes
                 penalty_new = _penalty(B_new, spec, targets)
-                delta_energy = flux + penalty_new - penalty
-                accept = spec.kind == GUO or not delta_energy > 0.0
+                accept = _descends(problem, w, w_new, B_new, targets, lambda d: (
+                    spec.kind == GUO or not d + penalty_new - penalty > 0.0))
                 residual_new = float(np.abs(B_new - targets).max())
                 # the operator at the end, which the next step starts from,
                 # only for an accepted step that leaves one to take
@@ -272,8 +289,7 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
 
             w, B, operator, penalty, residual = w_new, B_new, operator_new, penalty_new, residual_new
             t += h_try
-            energy = energy + delta_energy
-            samples.append((t, w, B, residual, energy))
+            samples.append((t, w, B, residual))
             accepted += 1
             consecutive += 1
             if consecutive >= GROW_AFTER:
@@ -282,11 +298,10 @@ def integrate(tri: IdealTriangulation, l0, w0, spec: FlowSpec) -> Trajectory:
             if residual < spec.tol:
                 status = CONVERGED
 
-    ts, ws, Bs, residuals, energies = (np.asarray(series) for series in zip(*samples))
-    traj = Trajectory(spec=spec, ts=ts, ws=ws, Bs=Bs, residuals=residuals, energies=energies,
-                      status=status, energy_kind=energy_kind, w_star=w_star,
-                      accepted_steps=accepted, rejected_steps=rejected,
-                      initial_speed=initial_speed)
+    ts, ws, Bs, residuals = (np.asarray(series) for series in zip(*samples))
+    traj = Trajectory(spec=spec, ts=ts, ws=ws, Bs=Bs, residuals=residuals, status=status,
+                      energy_kind=energy_kind, w_star=w_star, accepted_steps=accepted,
+                      rejected_steps=rejected, initial_speed=initial_speed, problem=problem)
     if status == GUARD_TRIGGERED:
         raise StepCollapse(f"step collapsed below {STEP_FLOOR} at t = {t:.6g}", trajectory=traj)
     return traj

@@ -7,14 +7,11 @@ step must keep every admissibility margin at or above `safety` and decrease
 psi by the Armijo fraction of the predicted slope (Nocedal & Wright,
 Numerical Optimization, ch. 3).
 
-Convexity certifies most trials from their end point alone.  Along the trial
-segment w + u dw, u in [0, 1], the slope g(u) = (b - B(w + u dw)) . dw of psi
-is nondecreasing, so psi(w + dw) - psi(w) = int_0^1 g <= g(1), and a trial
-whose g(1) meets the Armijo bound meets it.  Only a trial whose end slope
-does not settle it measures the decrement itself, by the line-integral form
-(see the energy module), which avoids cancellation near the solution.  A
-certified trial is still rejected where a state of that integral's first
-batch rounds to margin 0, as the integral would reject it.
+Convexity certifies most trials from their end point alone: psi is convex,
+so psi(w + dw) - psi(w) is at most the end slope g(1) = (b - B(w + dw)) . dw,
+and a trial whose g(1) meets the Armijo bound meets it.  Only the others
+measure the decrement itself, by the line-integral form (see the energy
+module), which avoids cancellation near the solution.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Problem
-from .energy import _first_batch, _segment_flux
+from .energy import _descends
 from .errors import EigSolveFailure, InadmissibleFactor, LineSearchFailure, MaxIterations
 from .triangulation import IdealTriangulation
 
@@ -96,13 +93,7 @@ def _solve(problem: Problem, targets, w, tol, safety) -> SolveReport:
             try:
                 # the trial's margins at the safety floor, then B there
                 B_try, geometry_try, _ = problem._boundary(w_try, safety)
-                if (targets - B_try) @ (w_try - w) <= bound:
-                    # with safety 0, a margin at a quadrature node can round
-                    # to exactly 0; that trial is rejected like one below the
-                    # floor, certified or not
-                    problem.check_margin(_first_batch(w, w_try))
-                    break
-                if _segment_flux(problem, w, w_try, targets, rtol=1e-12)[0] <= bound:
+                if _descends(problem, w, w_try, B_try, targets, lambda d: d <= bound):
                     break
             except InadmissibleFactor:
                 pass

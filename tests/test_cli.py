@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hypflow import cli, flows, instances
+from hypflow import cli, energy, flows, instances
 from hypflow.cli import main
 from hypflow.conformal import boundary_lengths, save_metric
 from hypflow.newton import solve_prescribed
@@ -132,6 +132,17 @@ def test_field_failure_at_start_is_reported(pants_mesh, capsys):
     assert main(["compare", "--seed", "0", "--targets", "1", "--s=1", "--w0", "60"]) == 1
     assert capsys.readouterr().err == (
         "error: variant fractional-calabi 1.0: flow failed: hexagon invariant overflowed\n")
+
+
+def test_energy_quadrature_stall_is_reported(pants_mesh, tmp_path, monkeypatch, capsys):
+    # guo integrates nothing while it steps; its CSV's energies are
+    # integrated when the CSV is written, and a quadrature that never
+    # settles there escaped as a traceback
+    monkeypatch.setattr(energy, "MAX_REFINEMENTS", 0)
+    assert main(["flow", "--mesh", pants_mesh, "--kind", "guo", "--t-max", "1",
+                 "--out-csv", str(tmp_path / "traj.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: flow failed: no agreement to rtol=1e-10 after 0 refinements\n")
 
 
 def test_flow_stall_reports_no_rate(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hypflow.conformal import (
     log_cosh_half,
     save_metric,
 )
-from hypflow.energy import _segment_flux
 from hypflow.errors import InadmissibleFactor, MeshFormatError
 from hypflow.triangulation import build_triangulation
 
@@ -161,9 +160,8 @@ def test_batched_factors(pants, symmetric_l0):
 
 
 def test_batch_rows_match_lone_evaluations(pants, torus, symmetric_l0):
-    """Bitwise: each row of a batch against a lone evaluation, the end B and
-    geometry of a segment flux against a lone evaluation at the end, and
-    margins against w_i + w_j + ln cosh(l0/2)."""
+    """Bitwise: each row of a batch against a lone evaluation, and margins
+    against w_i + w_j + ln cosh(l0/2)."""
     rng = np.random.default_rng(11)
     cases = [(pants, symmetric_l0), (torus, symmetric_l0)]
     cases += [instances.random_instance(rng, n_faces=faces) for faces in range(2, 49, 2)]
@@ -179,11 +177,6 @@ def test_batch_rows_match_lone_evaluations(pants, torus, symmetric_l0):
             geometry_lone = problem._boundary(w, 0.0)[1]
             for batched, lone in zip(geometry, geometry_lone):
                 assert np.array_equal(batched[k], lone)
-            if k:
-                _, end_B, end_geometry = _segment_flux(problem, ws[k - 1], w)
-                assert np.array_equal(end_B, boundary_lengths(tri, l0, w))
-                for end, lone in zip(end_geometry, geometry_lone):
-                    assert np.array_equal(end, lone)
 
 
 def test_metric_round_trip(tmp_path, symmetric_l0):

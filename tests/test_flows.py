@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hypflow import flows, instances
+from hypflow import energy, flows, instances
 from hypflow.conformal import Problem, admissibility_margin, boundary_lengths
+from hypflow.energy import c_value, segment_flux, upsilon_value
 from hypflow.errors import InadmissibleFactor, InsufficientData, NonFinite, StepCollapse
 from hypflow.flows import (
     FlowSpec,
@@ -211,6 +212,21 @@ def test_inverse_power_step_is_damped_newton(seed):
     assert error <= 1e-13 * np.max(np.abs(step))
 
 
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_short_edges_converge_at_zero_safety_in_small_batches(monkeypatch, s):
+    # with every l0 = 5e-4 the margin at w = 0 is 3.1e-8; the Newton anchor
+    # solved at a fixed floor of 1e-6 and failed at its first iteration, and
+    # at l0 = 1e-3 the per-step quadrature's refinements took 2 GB
+    pants, l0 = instances.pair_of_pants(), np.full(3, 5e-4)
+    w_star = solve_prescribed(pants, l0, TARGETS, safety=0.0).w_star
+    shapes = _count_evaluations(monkeypatch)
+    traj = integrate(pants, l0, np.zeros(3),
+                     FlowSpec(kind="fractional-calabi", targets=TARGETS, s=s, safety=0.0))
+    assert traj.status == "Converged"
+    assert np.max(np.abs(traj.ws[-1] - w_star)) < 1e-6
+    assert max((shape[0] for shape in shapes if shape not in ("eigh", (3,))), default=0) <= 48
+
+
 def test_short_edges_converge_from_admissible_start():
     # with every l0 = 5e-4 the margin at w = 0 is 3.1e-8, below the Newton
     # anchor's 1e-6 floor; w0 = 0.5 has margin 1.0, but an anchor solved from
@@ -247,48 +263,172 @@ def _count_evaluations(monkeypatch):
 
 def _stepping_evaluations(monkeypatch, pants, symmetric_l0, spec):
     """(evaluations at w0, evaluations of the steps, trajectory) of a run from
-    w = 0 that rejects no step; the Newton pre-solve's and the initial
-    energy's are left out."""
+    w = 0 that rejects no step; the Newton pre-solve's are left out."""
     shapes = _count_evaluations(monkeypatch)
-    solve, flux = flows._solve, flows._segment_flux
-    start, fluxes = [], []
+    solve, penalty = flows._solve, flows._penalty
+    start, stepping = [], []
 
-    def recording_start(f):
-        # the field at w0 is evaluated before the Newton pre-solve and the
-        # initial energy, whichever comes first
-        def wrapped(*args, **kwargs):
-            if not start:
-                start.extend(shapes)
-            return f(*args, **kwargs)
-        return wrapped
+    def solve_recording_start(*args, **kwargs):
+        start.extend(shapes)  # the field at w0 comes before the pre-solve
+        return solve(*args, **kwargs)
 
-    def flux_after_initial(*args, **kwargs):
-        result = flux(*args, **kwargs)
-        if not fluxes:
-            shapes.clear()  # the pre-solve and the initial energy are not stepping
-        fluxes.append(1)
-        return result
+    def penalty_starting_steps(*args):
+        # the first penalty, at w0, follows the field and any pre-solve
+        if not stepping:
+            start[:] = start or shapes  # guo runs no pre-solve
+            shapes.clear()
+            stepping.append(1)
+        return penalty(*args)
 
-    monkeypatch.setattr(flows, "_solve", recording_start(solve))
-    monkeypatch.setattr(flows, "_segment_flux", recording_start(flux_after_initial))
+    monkeypatch.setattr(flows, "_solve", solve_recording_start)
+    monkeypatch.setattr(flows, "_penalty", penalty_starting_steps)
     traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
     assert traj.status == "Converged" and traj.rejected_steps == 0
     return start, shapes, traj
 
 
-@pytest.mark.parametrize("spec", [
+STEPPING_SPECS = [
     FlowSpec(kind="fractional-calabi", targets=TARGETS, s=0.0),
     FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0),
     FlowSpec(kind="generalized-yamabe", targets=TARGETS, p=1.0),
     FlowSpec(kind="guo", tol=1e-2, t_max=1e3),
-], ids=["s=0", "s=1", "yamabe-p=1", "guo"])
+]
+STEPPING_IDS = ["s=0", "s=1", "yamabe-p=1", "guo"]
+
+
+@pytest.mark.parametrize("spec", STEPPING_SPECS, ids=STEPPING_IDS)
 def test_each_step_evaluates_b_once(pants, symmetric_l0, monkeypatch, spec):
-    """B, L and one eigensolve at w0; then per accepted step the 49-state
-    quadrature batch, whose last row is the step's end, and L and one
-    eigensolve there for the next step, none after the converging one."""
+    """B, L and one eigensolve at w0; then per accepted step B at its end,
+    which certifies it without a quadrature, and L and one eigensolve there
+    for the next step, none after the converging one."""
     start, steps, traj = _stepping_evaluations(monkeypatch, pants, symmetric_l0, spec)
     assert start == [(3,), "eigh"]
-    assert steps == [(49, 3), "eigh"] * (traj.accepted_steps - 1) + [(49, 3)]
+    assert steps == [(3,), "eigh"] * (traj.accepted_steps - 1) + [(3,)]
+
+
+def _penalty_rule(spec, B, targets):
+    if spec.kind == "guo":
+        return 0.0
+    if spec.kind == "generalized-yamabe":
+        return upsilon_value(B, targets, spec.p)
+    return c_value(B, targets)
+
+
+@pytest.mark.parametrize("spec", STEPPING_SPECS, ids=STEPPING_IDS)
+@pytest.mark.parametrize("seed", [None, 4], ids=["pants", "random"])
+def test_energies_follow_their_rule(pants, symmetric_l0, spec, seed):
+    """Bitwise: the gap from the anchor (w*, or 0 for guo) to w0 plus the
+    penalty there; then per step the least of psi's increment, integrated
+    to rtol 1e-12, and its end slope, plus the penalty's change."""
+    tri, l0 = (pants, symmetric_l0) if seed is None else \
+        instances.random_instance(np.random.default_rng(seed))
+    n = tri.n_boundaries
+    targets = np.zeros(n) if spec.kind == "guo" else np.ones(n)
+    if spec.kind != "guo":
+        spec = FlowSpec(kind=spec.kind, targets=targets, s=spec.s, p=spec.p)
+    traj = integrate(tri, l0, np.zeros(n), spec)
+    anchor = np.zeros(n) if spec.kind == "guo" else traj.w_star
+    expected = [segment_flux(tri, l0, anchor, traj.ws[0], targets)
+                + _penalty_rule(spec, traj.Bs[0], targets)]
+    for k in range(1, traj.n_samples):
+        w, w_new = traj.ws[k - 1], traj.ws[k]
+        flux = segment_flux(tri, l0, w, w_new, targets, rtol=1e-12)
+        slope = (targets - traj.Bs[k]) @ (w_new - w)
+        expected.append(expected[-1] + (min(flux, slope) + _penalty_rule(spec, traj.Bs[k], targets)
+                                        - _penalty_rule(spec, traj.Bs[k - 1], targets)))
+    assert traj.n_samples > 10
+    assert np.array_equal(traj.energies, expected)
+    assert np.all(np.diff(traj.energies) <= 0)
+
+
+def test_energies_are_computed_once(pants, symmetric_l0, monkeypatch):
+    """Nothing integrates an energy until it is read; the first read runs one
+    line integral per sample and the second none."""
+    fluxes = []
+    flux = flows._segment_flux
+
+    def counting(*args, **kwargs):
+        fluxes.append(1)
+        return flux(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_segment_flux", counting)
+    traj = integrate(pants, symmetric_l0, np.zeros(3),
+                     FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0))
+    assert fluxes == []
+    energies = traj.energies
+    assert len(fluxes) == traj.n_samples
+    assert traj.energies is energies and len(fluxes) == traj.n_samples
+
+
+def test_uncertified_steps_keep_the_trajectory(pants, symmetric_l0, monkeypatch):
+    """With the end-slope certificate patched to always fail, every step
+    integrates psi's increment for its Lyapunov test, and the trajectory is
+    bitwise unchanged, rejections included."""
+    tri, l0 = instances.random_instance(np.random.default_rng(2))
+    n = tri.n_boundaries
+    runs = [(pants, symmetric_l0, spec) for spec in STEPPING_SPECS]
+    runs.append((tri, l0, FlowSpec(kind="fractional-calabi", targets=np.full(n, 5.0), s=1.0,
+                                   t_max=200.0)))
+    for tri_k, l0_k, spec in runs:
+        w0 = np.zeros(tri_k.n_boundaries)
+        certified = integrate(tri_k, l0_k, w0, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(flows, "_descends", lambda problem, start, end, B_end, targets, accept:
+                          accept(energy._segment_flux(problem, start, end, targets, rtol=1e-12)))
+            integrated = integrate(tri_k, l0_k, w0, spec)
+        for name in ("ts", "ws", "Bs", "residuals", "energies"):
+            assert np.array_equal(getattr(certified, name), getattr(integrated, name)), name
+        assert (certified.status, certified.accepted_steps, certified.rejected_steps) == \
+            (integrated.status, integrated.accepted_steps, integrated.rejected_steps)
+    assert certified.rejected_steps > 0
+
+
+def test_lyapunov_rise_is_rejected(pants, symmetric_l0, monkeypatch):
+    """At step 1 toward targets 5, one step from w = 0 would raise lambda
+    (accepting every step lets it rise by 8.1); neither its end slope nor its
+    integral lets it pass, and the other four rejections leave the
+    admissible set or double range."""
+    verdicts = []
+    descends = flows._descends
+
+    def recording(*args):
+        verdicts.append(descends(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(flows, "_descends", recording)
+    traj = integrate(pants, symmetric_l0, np.zeros(3),
+                     FlowSpec(kind="fractional-calabi", targets=np.full(3, 5.0), step=1.0))
+    assert (traj.status, traj.accepted_steps, traj.rejected_steps) == ("Converged", 9, 5)
+    assert verdicts.count(False) == 1
+    assert np.all(np.diff(traj.energies) <= 0)
+
+
+def test_certified_step_rejects_a_node_at_margin_zero(pants, symmetric_l0, monkeypatch):
+    """A step certified by its end slope is still rejected where a node of the
+    quadrature it skips rounds to margin 0 (the quadrature would reject it);
+    the first step's node check is patched to meet one."""
+    spec = FlowSpec(kind="fractional-calabi", targets=TARGETS, s=1.0)
+    plain = integrate(pants, symmetric_l0, np.zeros(3), spec)
+    solve, check_margin = flows._solve, Problem.check_margin
+    armed = []
+
+    def solve_then_arm(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        armed.append(1)  # the anchor's own node checks stay as they are
+        return report
+
+    def node_at_zero(self, w, safety=0.0):
+        if armed == [1] and w.shape == (48, 3):
+            armed.append(1)
+            raise InadmissibleFactor("admissibility violated on edge 0 (margin 0.000e+00)", 0)
+        return check_margin(self, w, safety)
+
+    monkeypatch.setattr(flows, "_solve", solve_then_arm)
+    monkeypatch.setattr(Problem, "check_margin", node_at_zero)
+    traj = integrate(pants, symmetric_l0, np.zeros(3), spec)
+    assert len(armed) == 2
+    assert plain.rejected_steps == 0 and traj.rejected_steps == 1
+    assert traj.ts[1] == plain.ts[1] / 2.0
 
 
 def test_eigensolves_only_at_accepted_states(monkeypatch):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from hypflow import instances, newton
+from hypflow import energy, instances, newton
 from hypflow.conformal import Problem, admissibility_margin, boundary_lengths
 from hypflow.errors import InadmissibleFactor, LineSearchFailure, MaxIterations, NonFinite
 from hypflow.newton import solve_prescribed
@@ -94,10 +94,11 @@ def test_each_trial_evaluates_b_in_its_armijo_batch(pants, symmetric_l0, monkeyp
     """B at the start once; then one lone evaluation per Armijo trial, which
     raises below the safety floor.  A trial whose end slope certifies it
     checks its first-batch nodes' margins; any other runs the quadrature,
-    whose 49-state batch follows the trial's lone evaluation.  An accepted
-    trial's B and geometry come from that lone evaluation."""
+    whose 48-state batch, the same first batch, follows the trial's lone
+    evaluation.  An accepted trial's B and geometry come from that lone
+    evaluation."""
     log = []
-    boundary, flux, first_batch = Problem._boundary, newton._segment_flux, newton._first_batch
+    boundary, flux, first_batch = Problem._boundary, energy._segment_flux, energy._first_batch
 
     def counting(self, w, safety):
         n = self.tri.n_boundaries
@@ -106,8 +107,8 @@ def test_each_trial_evaluates_b_in_its_armijo_batch(pants, symmetric_l0, monkeyp
         except InadmissibleFactor:
             log.append("x" if w.shape == (n,) else "!")
             raise
-        # b: a lone state, Q: the 49-state batch, r: a refinement level k >= 2
-        log.append({(n,): "b", (49, n): "Q"}.get(w.shape, "r" if w.shape[0] % 64 == 0 else "?"))
+        # b: a lone state, Q: the 48-state batch, r: a refinement level k >= 2
+        log.append({(n,): "b", (48, n): "Q"}.get(w.shape, "r" if w.shape[0] % 64 == 0 else "?"))
         return out
 
     def counting_flux(*args, **kwargs):
@@ -119,15 +120,15 @@ def test_each_trial_evaluates_b_in_its_armijo_batch(pants, symmetric_l0, monkeyp
         return first_batch(*args)
 
     monkeypatch.setattr(Problem, "_boundary", counting)
-    monkeypatch.setattr(newton, "_segment_flux", counting_flux)
-    monkeypatch.setattr(newton, "_first_batch", counting_first_batch)
+    monkeypatch.setattr(energy, "_segment_flux", counting_flux)
+    monkeypatch.setattr(energy, "_first_batch", counting_first_batch)
     report = solve_prescribed(pants, symmetric_l0, np.array([0.8, 1.7, 2.4]))
     events = "".join(log)
-    trials = re.findall(r"x|bc|bqQr*", events[1:])
+    trials = re.findall(r"x|bc|bqcQr*", events[1:])
     assert events[0] == "b" and "".join(trials) == events[1:]
     # every trial is accepted here, most of them by their end slope alone
-    assert len(trials) == report.iterations > 2 * trials.count("bqQ")
-    assert trials.count("bqQ") >= 1
+    assert len(trials) == report.iterations > 2 * trials.count("bqcQ")
+    assert trials.count("bqcQ") >= 1
     # with safety 0, seed 0, targets 30 rejects trials below the floor and
     # in the node check until it stalls (see
     # test_zero_safety_rejects_a_trial_at_margin_zero)
@@ -136,10 +137,10 @@ def test_each_trial_evaluates_b_in_its_armijo_batch(pants, symmetric_l0, monkeyp
     with pytest.raises(LineSearchFailure) as exc:
         solve_prescribed(tri, l0, np.full(tri.n_boundaries, 30.0), safety=0.0)
     events = "".join(log)
-    trials = re.findall(r"x|bc|bqQr*", events[1:])
+    trials = re.findall(r"x|bc|bqcQr*", events[1:])
     assert events[0] == "b" and "".join(trials) == events[1:]
     assert len(trials) > exc.value.report.iterations
-    assert {"x", "bc", "bqQ"} <= set(trials)
+    assert {"x", "bc", "bqcQ"} <= set(trials)
 
 
 def test_certified_trials_meet_armijo_by_quadrature():
@@ -166,11 +167,11 @@ def test_certified_trials_meet_armijo_by_quadrature():
                     end_slope = (targets - B_try) @ (w_try - w)
                     if end_slope > bound:
                         continue
-                    problem.check_margin(newton._first_batch(w, w_try))
+                    problem.check_margin(energy._first_batch(w, w_try))
                 except (InadmissibleFactor, NonFinite):
                     continue
                 trials += 1
-                flux = newton._segment_flux(problem, w, w_try, targets, rtol=1e-12)[0]
+                flux = energy._segment_flux(problem, w, w_try, targets, rtol=1e-12)
                 assert flux <= end_slope <= bound
 
 
